@@ -33,19 +33,6 @@ from .poly import (
 
 DEFAULT_MAX_N = 20
 
-CHECK_ORDER = [
-    "annihilation",
-    "abelian",
-    "homogeneity",
-    "isotropy",
-    "traces",
-    "pick",
-    "signature",
-    "ruling",
-    "hessian",
-    "orbit",
-]
-
 # Checks meaningful for the variant surface (the commuting shift fields and
 # the weight grading are specific to the main family).
 VARIANT_CHECKS = ["isotropy", "traces", "pick", "signature", "ruling", "hessian"]
@@ -74,15 +61,12 @@ def _n_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}") from None
 
 
-def _max_n() -> int:
-    try:
-        return int(os.environ.get("CAYLEY_MAX_N", str(DEFAULT_MAX_N)))
-    except ValueError:
-        return DEFAULT_MAX_N
-
-
 def _guard_n(parser: argparse.ArgumentParser, values: list[int], force: bool) -> None:
-    limit = _max_n()
+    text = os.environ.get("CAYLEY_MAX_N", str(DEFAULT_MAX_N))
+    try:
+        limit = int(text)
+    except ValueError:
+        parser.error(f"CAYLEY_MAX_N must be an integer, got {text!r}")
     worst = max(values)
     if worst > limit and not force:
         parser.error(f"n={worst} exceeds the guard ({limit}); pass --force or set CAYLEY_MAX_N")
@@ -91,13 +75,13 @@ def _guard_n(parser: argparse.ArgumentParser, values: list[int], force: bool) ->
 # -- check implementations ---------------------------------------------------
 
 
-def _check_annihilation(n: int, phi: Polynomial) -> tuple[bool, str]:
+def _check_annihilation(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
     fields = symmetry.cayley_fields(n)
     ok = all(not f.apply(phi) for f in fields)
     return ok, f"X_p Phi = 0 for p = 1..{n - 1}"
 
 
-def _check_abelian(n: int, phi: Polynomial) -> tuple[bool, str]:
+def _check_abelian(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
     fields = symmetry.cayley_fields(n)
     ok = True
     for i, x in enumerate(fields):
@@ -107,7 +91,7 @@ def _check_abelian(n: int, phi: Polynomial) -> tuple[bool, str]:
     return ok, f"all pairwise commutators of the {n - 1} shift fields vanish"
 
 
-def _check_homogeneity(n: int, phi: Polynomial) -> tuple[bool, str]:
+def _check_homogeneity(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
     graded = weighted_degree_check(phi, list(range(1, n + 1)), n)
     euler = symmetry.euler_field(n)
     scales = euler.apply(phi) == phi * n
@@ -166,12 +150,12 @@ def _check_signature(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]
     return (sig.positive, sig.negative, sig.zero) == expected, detail + f" expected {expected}"
 
 
-def _check_ruling(n: int, phi: Polynomial) -> tuple[bool, str]:
+def _check_ruling(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
     dim, linear = geometry.ruling_check(n, phi)
     return linear, f"linear in the upper block; ruled by {dim}-planes"
 
 
-def _check_hessian(n: int, phi: Polynomial) -> tuple[bool, str]:
+def _check_hessian(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
     f = geometry.graph_of(phi, n)
     hess = geometry.hessian_determinant(f)
     if hess.is_constant():
@@ -179,7 +163,7 @@ def _check_hessian(n: int, phi: Polynomial) -> tuple[bool, str]:
     return False, "Hessian determinant is not constant"
 
 
-def _check_orbit(n: int, phi: Polynomial) -> tuple[bool, str]:
+def _check_orbit(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
     rng = random.Random(20_000 + n)
 
     def rand_params():
@@ -198,28 +182,20 @@ def _check_orbit(n: int, phi: Polynomial) -> tuple[bool, str]:
     return ok, f"{ORBIT_SAMPLES} random orbit points on the surface; {ORBIT_ROUND_TRIPS} round trips"
 
 
-def _run_check(name: str, n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    if name == "annihilation":
-        return _check_annihilation(n, phi)
-    if name == "abelian":
-        return _check_abelian(n, phi)
-    if name == "homogeneity":
-        return _check_homogeneity(n, phi)
-    if name == "isotropy":
-        return _check_isotropy(n, phi, variant)
-    if name == "traces":
-        return _check_traces(n, phi, variant)
-    if name == "pick":
-        return _check_pick(n, phi, variant)
-    if name == "signature":
-        return _check_signature(n, phi, variant)
-    if name == "ruling":
-        return _check_ruling(n, phi)
-    if name == "hessian":
-        return _check_hessian(n, phi)
-    if name == "orbit":
-        return _check_orbit(n, phi)
-    raise ValueError(f"unknown check {name!r}")
+# Check name -> implementation; `--checks all` runs them in this order.
+CHECKS = {
+    "annihilation": _check_annihilation,
+    "abelian": _check_abelian,
+    "homogeneity": _check_homogeneity,
+    "isotropy": _check_isotropy,
+    "traces": _check_traces,
+    "pick": _check_pick,
+    "signature": _check_signature,
+    "ruling": _check_ruling,
+    "hessian": _check_hessian,
+    "orbit": _check_orbit,
+}
+CHECK_ORDER = list(CHECKS)
 
 
 # -- subcommand drivers -------------------------------------------------------
@@ -281,7 +257,7 @@ def _cmd_verify(parser, args) -> int:
         checks = []
         target_pass = True
         for name in names:
-            ok, detail = _run_check(name, n, phi, args.variant)
+            ok, detail = CHECKS[name](n, phi, args.variant)
             checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
             target_pass = target_pass and ok
         target: dict = {"n": n}
@@ -310,7 +286,7 @@ def _cmd_symmetries(parser, args) -> int:
         n, source = phi.n, "file"
     else:
         n, phi, source = _target_poly(parser, args.n, args.b, args.variant)
-        _guard_n(parser, [n], args.force)
+    _guard_n(parser, [n], args.force)
     if not phi:
         parser.error("the zero polynomial has no symmetry algebra")
     algebra = symmetry.symmetry_algebra(phi)

@@ -2,21 +2,22 @@
 
 The degree-N hypersurface in affine N-space is the zero set of
 
-    Phi_N = sum_{d=1}^{N} (-1)^d (1/d) sum_{i+j+...+m = N} x_i x_j ... x_m
+    Phi_N = -[s^N] log(1 + x_1 s + x_2 s^2 + ... + x_N s^N)
+          = sum_{d=1}^{N} (-1)^d (1/d) sum_{i+j+...+m = N} x_i x_j ... x_m
 
-where the inner sum runs over ordered compositions of N into d positive
-parts.  The d = 1 term is -x_N, the only occurrence of x_N, so the surface
+where the inner sum runs over ordered d-tuples of positive integers summing
+to N.  The d = 1 term is -x_N, the only occurrence of x_N, so the surface
 is the graph x_N = f(x_1, ..., x_{N-1}).
 
-Two construction routes are provided.  The composition route follows the
-defining sum literally (2^{N-1} compositions in total).  The partition route
-uses the collapsed coefficient: the monomial given by a partition of N with
-d parts and multiplicities m_v carries coefficient (-1)^d (d-1)! / prod m_v!.
-Above N = 12 the partition route is chosen automatically; the two routes are
-checked against each other in the test suite.
+Tuples that reorder the same parts give the same monomial, so Phi_N is
+built from one pass over the partitions of N: the monomial of a partition
+with d parts and multiplicities m_v collects its d!/prod m_v! orderings and
+carries coefficient (-1)^d (d-1)! / prod m_v!.  The literal sum over ordered
+tuples is kept in the test suite as the reference.
 
 A one-parameter deformation replaces the 1/d prefactor by
-(1/d!) prod_{k=0}^{d-3} [(1-b)k + 2]; at b = 0 this is Phi_N again.
+(1/d!) prod_{k=0}^{d-3} [(1-b)k + 2]; at b = 0 this is Phi_N again, and
+Phi_N is built as that member of the family.
 """
 
 from __future__ import annotations
@@ -24,28 +25,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .poly import Polynomial
 
 Scalar = Union[int, Fraction]
-
-AUTO_PARTITION_THRESHOLD = 12
-
-
-def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All ordered d-tuples of positive integers summing to n, lexicographic.
-
-    There are C(n-1, d-1) of them.
-    """
-    if d < 1 or d > n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(1, n - d + 2):
-        for rest in compositions(n - first, d - 1):
-            yield (first,) + rest
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -95,72 +79,45 @@ def family_prefactor(d: int, b: Scalar) -> Fraction:
     return Fraction((-1) ** d, factorial(d)) * prod
 
 
-def _poly_from_partitions(n: int, partition_coeff) -> Polynomial:
+def family_poly(n: int, b: Scalar) -> Polynomial:
+    """The interpolating family member with parameter b (b = 0 gives Phi_n).
+
+    The monomial of a partition with d parts and multiplicities m_v gets
+    family_prefactor(d, b) once for each of its d!/prod(m_v!) orderings.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    prefactors = [family_prefactor(d, b) for d in range(1, n + 1)]
     terms = []
     for lam in partitions(n):
-        coeff = partition_coeff(lam)
-        if coeff:
-            terms.append((Counter(lam), coeff))
+        mults = Counter(lam)
+        orderings = factorial(len(lam))
+        for mult in mults.values():
+            orderings //= factorial(mult)
+        terms.append((mults, prefactors[len(lam) - 1] * orderings))
     return Polynomial(n, terms)
 
 
-def _poly_from_compositions(n: int, prefactor) -> Polynomial:
-    terms = []
-    for d in range(1, n + 1):
-        coeff = prefactor(d)
-        if not coeff:
-            continue
-        for comp in compositions(n, d):
-            terms.append((Counter(comp), coeff))
-    return Polynomial(n, terms)
-
-
-def _resolve_method(n: int, method: str) -> str:
-    if method == "auto":
-        return "partitions" if n > AUTO_PARTITION_THRESHOLD else "compositions"
-    if method not in ("compositions", "partitions"):
-        raise ValueError(f"unknown construction method {method!r}")
-    return method
-
-
-def cayley_poly(n: int, method: str = "auto") -> Polynomial:
+def cayley_poly(n: int) -> Polynomial:
     """The defining polynomial Phi_n, in canonical form.
 
     Phi_n has one term per integer partition of n; x_n occurs only in the
     single term -x_n.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if _resolve_method(n, method) == "partitions":
-        return _poly_from_partitions(n, lambda lam: coefficient_closed_form(n, lam))
-    return _poly_from_compositions(n, lambda d: Fraction((-1) ** d, d))
+    return family_poly(n, 0)
 
 
-def family_poly(n: int, b: Scalar, method: str = "auto") -> Polynomial:
-    """The interpolating family member with parameter b (b = 0 gives Phi_n)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    b = Fraction(b)
-    if _resolve_method(n, method) == "partitions":
-
-        def coeff(lam: tuple[int, ...]) -> Fraction:
-            d = len(lam)
-            orderings = factorial(d)
-            for mult in Counter(lam).values():
-                orderings //= factorial(mult)
-            return family_prefactor(d, b) * orderings
-
-        return _poly_from_partitions(n, coeff)
-    return _poly_from_compositions(n, lambda d: family_prefactor(d, b))
+def graph_of(phi: Polynomial, n: int) -> Polynomial:
+    """Recover f with phi = -x_n + f from a graph-form polynomial."""
+    f = phi + Polynomial.variable(n, n)
+    return f.restrict(n - 1)
 
 
-def graph_function(n: int, method: str = "auto") -> Polynomial:
+def graph_function(n: int) -> Polynomial:
     """The graph function f with Phi_n = -x_n + f, in variables x1..x_{n-1}."""
     if n < 2:
         raise ValueError("graph form needs n >= 2")
-    phi = cayley_poly(n, method)
-    f = phi + Polynomial.variable(n, n)
-    return f.restrict(n - 1)
+    return graph_of(cayley_poly(n), n)
 
 
 def variant_surface_4() -> Polynomial:
@@ -180,6 +137,6 @@ def variant_surface_4() -> Polynomial:
     )
 
 
-def monomial_count(n: int, method: str = "auto") -> int:
+def monomial_count(n: int) -> int:
     """Number of terms of Phi_n (equals the integer-partition count p(n))."""
-    return len(cayley_poly(n, method).terms)
+    return len(cayley_poly(n).terms)

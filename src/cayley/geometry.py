@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import factorial
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .generate import cayley_poly
+from .generate import cayley_poly, graph_of, partitions
 from .poly import Polynomial, PolyMatrix, determinant
 
 Scalar = Union[int, Fraction]
@@ -100,11 +100,8 @@ def indicator_tensor(n: int, m: int) -> SymmetricTensor:
         raise ValueError("order must be at least 2")
     if n < 3:
         raise ValueError("need n >= 3")
-    entries = {
-        key: Fraction(1)
-        for key in combinations_with_replacement(range(1, n), m)
-        if sum(key) == n
-    }
+    # With m >= 2 parts every part of a partition of n is below n.
+    entries = {lam: 1 for lam in partitions(n) if len(lam) == m}
     return SymmetricTensor(m, n - 1, entries)
 
 
@@ -214,12 +211,6 @@ def hessian_determinant(f: Polynomial) -> Polynomial:
         return Polynomial.constant(0, 1)
     rows = [[f.diff(i).diff(j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     return determinant(PolyMatrix(rows))
-
-
-def graph_of(phi: Polynomial, n: int) -> Polynomial:
-    """Recover f with phi = -x_n + f from a graph-form polynomial."""
-    f = phi + Polynomial.variable(n, n)
-    return f.restrict(n - 1)
 
 
 def ruling_check(n: int, phi: Polynomial | None = None) -> tuple[int, bool]:

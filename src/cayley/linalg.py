@@ -122,10 +122,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     ]
 
 
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list[Fraction]:
-    return [sum((Fraction(row[k]) * Fraction(v[k]) for k in range(len(v))), Fraction(0)) for row in a]
-
-
 def vec_mat(v: Sequence, a: Sequence[Sequence]) -> list[Fraction]:
     cols = len(a[0])
     return [sum((Fraction(v[i]) * Fraction(a[i][j]) for i in range(len(v))), Fraction(0)) for j in range(cols)]

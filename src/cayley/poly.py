@@ -462,7 +462,7 @@ def poly_from_json_dict(data: Mapping) -> Polynomial:
             )
             for entry in data["terms"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed polynomial JSON: {exc}") from exc
     return Polynomial(n, terms)
 
@@ -534,7 +534,7 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial._raw(p.n, {m: c for m, c in quotient.items() if c})
 
 
-def _det_cofactor(a: Sequence[Sequence[Polynomial]], size: int, n: int) -> Polynomial:
+def _det_cofactor(a: Sequence[Sequence[Polynomial]], size: int) -> Polynomial:
     if size == 1:
         return a[0][0]
     if size == 2:
@@ -557,7 +557,7 @@ def determinant(matrix: PolyMatrix) -> Polynomial:
     size = matrix.rows
     n = matrix.ambient_dimension()
     if size <= 3:
-        return _det_cofactor(matrix.entries, size, n)
+        return _det_cofactor(matrix.entries, size)
 
     a = [list(row) for row in matrix.entries]
     zero = Polynomial.zero(n)

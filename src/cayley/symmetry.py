@@ -9,6 +9,11 @@ nilpotent linear part exponentiate exactly: the time-t flow is the affine
 map x -> x E + v with E = sum_k t^k A^k / k! a finite sum.  Transformations
 act on row vectors: (T x)_j = sum_i x_i M[i][j] + v[j].
 
+For the commuting shift fields X_p of the Cayley family no matrix is
+needed: reading a point as the series 1 + x_1 s + ... + x_n s^n, the orbit
+map from parameters t to points is the truncated series exp(sum_p t_p s^p)
+and its inverse is the series log, both O(n^2) recurrences.
+
 The solver at the bottom computes, for a polynomial p, the space of all
 affine fields X with X p = c p for a scalar c.  Since the unknowns
 (c, constant, linear) enter the coefficients of X p - c p linearly, this is
@@ -23,7 +28,7 @@ from math import factorial
 from typing import Sequence, Union
 
 from . import linalg
-from .poly import Mono, Polynomial, _mono_key, substitute_affine
+from .poly import Mono, Polynomial, _mono_key
 
 Scalar = Union[int, Fraction]
 
@@ -145,10 +150,6 @@ def euler_field(n: int) -> AffineVectorField:
     return AffineVectorField(n, [0] * n, linear)
 
 
-def apply_field(field: AffineVectorField, p: Polynomial) -> Polynomial:
-    return field.apply(p)
-
-
 def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
     """The Lie bracket [X, Y] with the convention [X,Y]f = X(Yf) - Y(Xf)."""
     if x.n != y.n:
@@ -251,41 +252,47 @@ def weight_scaling(n: int, lam: Scalar) -> AffineTransformation:
     return AffineTransformation(n, matrix, [0] * n)
 
 
+def _series_exp(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Coefficients 1..len(a) of exp(a_1 s + a_2 s^2 + ...), by k e_k = sum_j j a_j e_{k-j}."""
+    e = [Fraction(1)]
+    for k in range(1, len(a) + 1):
+        e.append(sum(j * a[j - 1] * e[k - j] for j in range(1, k + 1)) / k)
+    return tuple(e[1:])
+
+
+def _series_log1p(x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Coefficients 1..len(x) of log(1 + x_1 s + x_2 s^2 + ...).
+
+    Uses k l_k = k x_k - sum_{j<k} j l_j x_{k-j}, from (1 + X) L' = X'.
+    """
+    l: list[Fraction] = []
+    for k in range(1, len(x) + 1):
+        l.append((k * x[k - 1] - sum(j * l[j - 1] * x[k - j - 1] for j in range(1, k))) / k)
+    return tuple(l)
+
+
+# With X(s) = x_1 s + ... + x_n s^n, the flow of X_p multiplies 1 + X(s) by
+# exp(t s^p) modulo s^(n+1).  The flows commute, and the origin is 1 + X = 1,
+# so the orbit map is a truncated series exp and its inverse a series log.
+
+
 def orbit_point(n: int, params: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Image of the origin under exp(sum_p t_p X_p) for the commuting fields.
 
-    The combined field has constant part (t_1, ..., t_{n-1}, 0) and strictly
-    upper-triangular linear part, so the series is finite and the result lies
-    on the hypersurface exactly.
+    This is the point whose coordinates are the coefficients of s^1..s^n in
+    exp(t_1 s + ... + t_{n-1} s^{n-1}); it lies on the hypersurface exactly.
     """
     t = _freeze_vector(params, n - 1, "parameter vector")
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for p in range(1, n):
-        if not t[p - 1]:
-            continue
-        for i in range(1, n - p + 1):
-            a[i - 1][i + p - 1] += t[p - 1]
-    c = list(t) + [Fraction(0)]
-    total = [Fraction(0)] * n
-    row = c[:]
-    k = 0
-    while any(row):
-        f = Fraction(1, factorial(k + 1))
-        for j in range(n):
-            total[j] += f * row[j]
-        row = linalg.vec_mat(row, a)
-        k += 1
-    return tuple(total)
+    return _series_exp(t + (Fraction(0),))
 
 
 def parameters_for_point(n: int, x: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    """Invert the orbit map on the first n-1 coordinates (triangular solve)."""
-    target = _freeze_vector(x, n - 1, "coordinate vector")
-    t = [Fraction(0)] * (n - 1)
-    for k in range(n - 1):
-        reached = orbit_point(n, t)
-        t[k] = target[k] - reached[k]
-    return tuple(t)
+    """Invert the orbit map on the first n-1 coordinates.
+
+    The parameters are the coefficients of s^1..s^{n-1} in
+    log(1 + x_1 s + ... + x_{n-1} s^{n-1}).
+    """
+    return _series_log1p(_freeze_vector(x, n - 1, "coordinate vector"))
 
 
 @dataclass(frozen=True)
@@ -376,7 +383,6 @@ __all__ = [
     "AffineVectorField",
     "InexactExponentialError",
     "SymmetryAlgebra",
-    "apply_field",
     "cayley_fields",
     "commutator",
     "coordinate_field",
@@ -387,7 +393,6 @@ __all__ = [
     "orbit_point",
     "parameters_for_point",
     "span_contains",
-    "substitute_affine",
     "symmetry_algebra",
     "weight_scaling",
 ]

@@ -3,13 +3,14 @@
 Everything here deliberately avoids the library's own algorithms: dense
 exponent-tuple polynomials instead of sparse monomial maps, plain rational
 Gauss-Jordan instead of fraction-free elimination, cofactor expansion
-instead of Bareiss, and the pentagonal-number recurrence for partition
-counts.
+instead of Bareiss, the pentagonal-number recurrence for partition
+counts, and the literal composition sum for the defining polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Iterator
 
 
 def partition_counts(limit: int) -> list[int]:
@@ -127,3 +128,39 @@ def dense_eigen_dimension(p) -> int:
     for exps in all_exponents(n, degree):
         rows.append([col.get(exps, Fraction(0)) for col in columns])
     return rref_nullity(rows, len(columns))
+
+
+# -- the defining sum over ordered compositions --------------------------------
+
+
+def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """All ordered d-tuples of positive integers summing to n, lexicographic.
+
+    There are C(n-1, d-1) of them.
+    """
+    if d < 1 or d > n:
+        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+    if d == 1:
+        yield (n,)
+        return
+    for first in range(1, n - d + 2):
+        for rest in compositions(n - first, d - 1):
+            yield (first,) + rest
+
+
+def composition_sum_poly(n: int, prefactor: Callable[[int], Fraction]) -> dict:
+    """sum_d prefactor(d) sum_{compositions c of n into d parts} x_{c_1}...x_{c_d}, densely.
+
+    With prefactor(d) = (-1)^d / d this is Phi_n term by term as defined;
+    the result is a dense exponent-tuple dictionary without zero entries.
+    """
+    out: dict[tuple[int, ...], Fraction] = {}
+    for d in range(1, n + 1):
+        coeff = Fraction(prefactor(d))
+        for comp in compositions(n, d):
+            exps = [0] * n
+            for part in comp:
+                exps[part - 1] += 1
+            key = tuple(exps)
+            out[key] = out.get(key, Fraction(0)) + coeff
+    return {k: v for k, v in out.items() if v}

@@ -134,7 +134,7 @@ def test_verify_needs_three_variables(capsys):
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_check_pick", lambda n, phi, variant: (False, "forced failure"))
+    monkeypatch.setitem(cli.CHECKS, "pick", lambda n, phi, variant: (False, "forced failure"))
     code, out = run(capsys, ["verify", "--n", "3", "--checks", "pick"])
     assert code == 1
     report = json.loads(out)
@@ -164,6 +164,24 @@ def test_large_n_guard_env_override(capsys, monkeypatch):
     code, out = run(capsys, ["generate", "--n", "22"])
     assert code == 0
     assert out.startswith("x22 = ")
+
+
+def test_large_n_guard_rejects_non_integer_env(capsys, monkeypatch):
+    monkeypatch.setenv("CAYLEY_MAX_N", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--n", "3"])
+    assert exc.value.code == 2
+    assert "CAYLEY_MAX_N must be an integer" in capsys.readouterr().err
+
+
+def test_symmetries_file_is_guarded(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("CAYLEY_MAX_N", raising=False)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(poly_to_json_dict(Polynomial(21, [({21: 1}, -1), ({1: 2}, 1)]))))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symmetries", "--file", str(path)])
+    assert exc.value.code == 2
+    assert "exceeds the guard" in capsys.readouterr().err
 
 
 def test_symmetries_cayley(capsys):
@@ -219,6 +237,15 @@ def test_symmetries_bad_file(capsys, tmp_path):
         cli.main(["symmetries", "--file", str(tmp_path / "missing.json")])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_symmetries_file_zero_denominator(capsys, tmp_path):
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps({"n": 2, "terms": [{"exps": [[1, 1]], "num": "1", "den": "0"}]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symmetries", "--file", str(path)])
+    assert exc.value.code == 2
+    assert "cannot read polynomial file" in capsys.readouterr().err
 
 
 def test_invariants_bundle_output(capsys):

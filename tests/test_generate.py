@@ -8,7 +8,6 @@ import pytest
 from cayley.generate import (
     cayley_poly,
     coefficient_closed_form,
-    compositions,
     family_poly,
     family_prefactor,
     graph_function,
@@ -18,7 +17,7 @@ from cayley.generate import (
 )
 from cayley.poly import Polynomial, weighted_degree_check
 
-from oracles import partition_counts
+from oracles import composition_sum_poly, compositions, dense_from_sparse, partition_counts
 
 
 # The four displayed equations, transcribed coefficient by coefficient.
@@ -94,9 +93,14 @@ def test_cayley_poly_rejects_zero():
         cayley_poly(0)
 
 
+def phi_prefactor(d):
+    return Fraction((-1) ** d, d)
+
+
 def test_construction_routes_agree():
-    for n in range(1, 13):
-        assert cayley_poly(n, "compositions") == cayley_poly(n, "partitions")
+    # The partition generator against the literal composition sum.
+    for n in range(1, 16):
+        assert dense_from_sparse(cayley_poly(n)) == composition_sum_poly(n, phi_prefactor)
 
 
 def test_graph_function_examples():
@@ -161,9 +165,10 @@ def test_family_reduces_to_cayley_at_zero():
 
 def test_family_routes_agree():
     rng = random.Random(12)
-    for n in range(1, 10):
+    for n in range(1, 13):
         b = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        assert family_poly(n, b, "compositions") == family_poly(n, b, "partitions")
+        literal = composition_sum_poly(n, lambda d: family_prefactor(d, b))
+        assert dense_from_sparse(family_poly(n, b)) == literal
 
 
 def test_family_b1_coefficients():
@@ -244,14 +249,6 @@ def test_weight_homogeneity_through_twenty():
 
 
 def test_composition_sum_reproduces_polynomial():
-    # Rebuild the defining sum literally and compare with the generator.
-    for n in range(1, 11):
-        total = Polynomial.zero(n)
-        for d in range(1, n + 1):
-            coeff = Fraction((-1) ** d, d)
-            for comp in compositions(n, d):
-                exps = {}
-                for part in comp:
-                    exps[part] = exps.get(part, 0) + 1
-                total = total + Polynomial.monomial(n, exps, coeff)
-        assert total == cayley_poly(n)
+    # The literal defining sum gives the four displayed equations.
+    for n, terms in GOLDEN.items():
+        assert composition_sum_poly(n, phi_prefactor) == dense_from_sparse(Polynomial(n, terms))

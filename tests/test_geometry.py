@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -34,6 +35,16 @@ def test_indicator_tensor_examples():
         (1, 2, 3): 1,
         (2, 2, 2): 1,
     }
+
+
+def test_indicator_tensor_matches_multiset_filter():
+    # Every index multiset from {1..n-1} of size m, kept when it sums to n.
+    for n in range(3, 13):
+        for m in range(2, n + 1):
+            expected = {
+                key: 1 for key in combinations_with_replacement(range(1, n), m) if sum(key) == n
+            }
+            assert dict(indicator_tensor(n, m).entries) == expected
 
 
 def test_indicator_tensor_validation():

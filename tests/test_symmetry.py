@@ -171,7 +171,7 @@ def test_orbit_points_lie_on_surface():
 def test_orbit_point_matches_exponential():
     # The orbit map must agree with exponentiating the combined field.
     rng = random.Random(26)
-    for n in (3, 4, 6):
+    for n in range(2, 10):
         t = rand_params(rng, n)
         fields = cayley_fields(n)
         combined = AffineVectorField.zero(n)
@@ -187,11 +187,21 @@ def test_parameters_for_point_examples():
 
 def test_parameters_round_trip():
     rng = random.Random(27)
-    for n in range(2, 9):
+    for n in range(2, 21):
         for _ in range(10):
             t = tuple(rand_params(rng, n))
             point = orbit_point(n, t)
             assert parameters_for_point(n, point[: n - 1]) == t
+
+
+def test_phi_is_minus_top_log_coefficient():
+    # Phi_n(x) = -[s^n] log(1 + x_1 s + ... + x_n s^n), the last parameter one dimension up.
+    rng = random.Random(28)
+    for n in range(2, 21):
+        phi = cayley_poly(n)
+        for _ in range(3):
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+            assert phi.evaluate(x) == -parameters_for_point(n + 1, x)[-1]
 
 
 def test_symmetry_algebra_dimension_three():
