@@ -20,6 +20,7 @@ written, so rendered output is byte-stable.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -451,14 +452,23 @@ def poly_to_json_dict(p: Polynomial) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A JSON integer or decimal-integer string; floats and booleans are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def poly_from_json_dict(data: Mapping) -> Polynomial:
     """Parse the schema produced by poly_to_json_dict."""
     try:
-        n = int(data["n"])
+        n = _json_int(data["n"])
         terms = [
             (
-                [(int(v), int(e)) for v, e in entry["exps"]],
-                Fraction(int(entry["num"]), int(entry["den"])),
+                [(_json_int(v), _json_int(e)) for v, e in entry["exps"]],
+                Fraction(_json_int(entry["num"]), _json_int(entry["den"])),
             )
             for entry in data["terms"]
         ]
@@ -534,31 +544,16 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial._raw(p.n, {m: c for m, c in quotient.items() if c})
 
 
-def _det_cofactor(a: Sequence[Sequence[Polynomial]], size: int) -> Polynomial:
-    if size == 1:
-        return a[0][0]
-    if size == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
-
-
 def determinant(matrix: PolyMatrix) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Uses cofactor expansion up to 3x3 and fraction-free Bareiss elimination
-    (all intermediate entries are true minors) beyond that.
+    Uses fraction-free Bareiss elimination: all intermediate entries are
+    true minors, so every division is exact.
     """
     if matrix.rows != matrix.cols:
         raise ValueError(f"non-square matrix: {matrix.rows}x{matrix.cols}")
     size = matrix.rows
     n = matrix.ambient_dimension()
-    if size <= 3:
-        return _det_cofactor(matrix.entries, size)
-
     a = [list(row) for row in matrix.entries]
     zero = Polynomial.zero(n)
     prev = Polynomial.constant(n, 1)

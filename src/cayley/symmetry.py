@@ -2,12 +2,15 @@
 
 An affine vector field on N-space is a derivation
 
-    X = sum_j (constant[j] + sum_i linear[i][j] * x_i) d/dx_j,
+    X = sum_j X_j d/dx_j,    X_j = constant[j] + sum_i linear[i][j] * x_i,
 
-stored as a constant vector and an N x N matrix of rationals.  Fields with
-nilpotent linear part exponentiate exactly: the time-t flow is the affine
-map x -> x E + v with E = sum_k t^k A^k / k! a finite sum.  Transformations
-act on row vectors: (T x)_j = sum_i x_i M[i][j] + v[j].
+stored as its N coefficient polynomials X_j, each of degree <= 1; the
+constant vector and the matrix ``linear`` are views read off them.  The
+bracket and the flow are computed with the derivation itself: [X, Y] has
+coefficients X(Y_j) - Y(X_j), and when the linear part is nilpotent the
+time-t flow is the finite Lie series x_j -> sum_k t^k/k! X^k(x_j), an
+affine map.  Transformations act on row vectors:
+(T x)_j = sum_i x_i M[i][j] + v[j].
 
 For the commuting shift fields X_p of the Cayley family no matrix is
 needed: reading a point as the series 1 + x_1 s + ... + x_n s^n, the orbit
@@ -24,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Sequence, Union
 
 from . import linalg
-from .poly import Mono, Polynomial, _mono_key
+from .poly import Mono, Polynomial, _mono_key, variables
 
 Scalar = Union[int, Fraction]
 
@@ -49,39 +51,63 @@ def _freeze_matrix(m: Sequence[Sequence[Scalar]], n: int, what: str) -> tuple[tu
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
+def _constant_terms(polys: Sequence[Polynomial]) -> tuple[Fraction, ...]:
+    return tuple(p.terms.get((), Fraction(0)) for p in polys)
+
+
+def _linear_terms(polys: Sequence[Polynomial], n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Entry [i][j] is the coefficient of x_(i+1) in polys[j]."""
+    return tuple(
+        tuple(p.terms.get(((i, 1),), Fraction(0)) for p in polys) for i in range(1, n + 1)
+    )
+
+
 @dataclass(frozen=True)
 class AffineVectorField:
-    """A degree-<=1 vector field: constant part plus linear part."""
+    """A degree-<=1 vector field sum_j coefficients[j-1] d/dx_j."""
 
     n: int
-    constant: tuple[Fraction, ...]
-    linear: tuple[tuple[Fraction, ...], ...]
+    coefficients: tuple[Polynomial, ...]
 
     def __init__(self, n: int, constant: Sequence[Scalar], linear: Sequence[Sequence[Scalar]]):
+        c = _freeze_vector(constant, n, "constant part")
+        a = _freeze_matrix(linear, n, "linear part")
+        coefficients = [
+            Polynomial(n, [({}, c[j])] + [({i + 1: 1}, a[i][j]) for i in range(n)]) for j in range(n)
+        ]
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "constant", _freeze_vector(constant, n, "constant part"))
-        object.__setattr__(self, "linear", _freeze_matrix(linear, n, "linear part"))
+        object.__setattr__(self, "coefficients", tuple(coefficients))
+
+    @classmethod
+    def _from_coefficients(cls, n: int, coefficients: Sequence[Polynomial]) -> "AffineVectorField":
+        """Internal constructor; the coefficients must be affine polynomials in n variables."""
+        field = cls.__new__(cls)
+        object.__setattr__(field, "n", n)
+        object.__setattr__(field, "coefficients", tuple(coefficients))
+        return field
 
     @classmethod
     def zero(cls, n: int) -> "AffineVectorField":
-        return cls(n, [0] * n, [[0] * n for _ in range(n)])
+        return cls._from_coefficients(n, [Polynomial.zero(n)] * n)
 
-    def coefficient(self, j: int) -> Polynomial:
-        """The coefficient polynomial of d/dx_j (1-based)."""
-        terms = [({}, self.constant[j - 1])]
-        terms += [({i + 1: 1}, self.linear[i][j - 1]) for i in range(self.n)]
-        return Polynomial(self.n, terms)
+    @property
+    def constant(self) -> tuple[Fraction, ...]:
+        """constant[j] is the constant term of the coefficient of d/dx_(j+1)."""
+        return _constant_terms(self.coefficients)
+
+    @property
+    def linear(self) -> tuple[tuple[Fraction, ...], ...]:
+        """linear[i][j] is the coefficient of x_(i+1) d/dx_(j+1)."""
+        return _linear_terms(self.coefficients, self.n)
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply the derivation to a polynomial."""
         if p.n != self.n:
             raise ValueError(f"dimension mismatch: field in {self.n}, polynomial in {p.n}")
         result = Polynomial.zero(self.n)
-        for j in range(1, self.n + 1):
-            dp = p.diff(j)
-            if not dp:
-                continue
-            result = result + self.coefficient(j) * dp
+        for j, coefficient in enumerate(self.coefficients, 1):
+            if coefficient:
+                result = result + coefficient * p.diff(j)
         return result
 
     def flatten(self) -> list[Fraction]:
@@ -94,31 +120,25 @@ class AffineVectorField:
     def __add__(self, other: "AffineVectorField") -> "AffineVectorField":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return AffineVectorField(
-            self.n,
-            [a + b for a, b in zip(self.constant, other.constant)],
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.linear, other.linear)],
+        return self._from_coefficients(
+            self.n, [a + b for a, b in zip(self.coefficients, other.coefficients)]
         )
 
     def scale(self, factor: Scalar) -> "AffineVectorField":
         f = Fraction(factor)
-        return AffineVectorField(
-            self.n,
-            [f * a for a in self.constant],
-            [[f * a for a in row] for row in self.linear],
-        )
+        return self._from_coefficients(self.n, [a * f for a in self.coefficients])
 
     def is_zero(self) -> bool:
-        return not any(self.constant) and not any(any(row) for row in self.linear)
+        return not any(self.coefficients)
 
 
 def coordinate_field(n: int, j: int) -> AffineVectorField:
     """The translation field d/dx_j."""
     if not 1 <= j <= n:
         raise ValueError(f"index {j} out of range 1..{n}")
-    constant = [0] * n
-    constant[j - 1] = 1
-    return AffineVectorField(n, constant, [[0] * n for _ in range(n)])
+    coefficients = [Polynomial.zero(n)] * n
+    coefficients[j - 1] = Polynomial.constant(n, 1)
+    return AffineVectorField._from_coefficients(n, coefficients)
 
 
 def cayley_fields(n: int) -> list[AffineVectorField]:
@@ -129,38 +149,30 @@ def cayley_fields(n: int) -> list[AffineVectorField]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    fields = []
-    for p in range(1, n):
-        constant = [0] * n
-        constant[p - 1] = 1
-        linear = [[0] * n for _ in range(n)]
-        for i in range(1, n - p + 1):
-            linear[i - 1][i + p - 1] = 1
-        fields.append(AffineVectorField(n, constant, linear))
-    return fields
+    zero, one, xs = Polynomial.zero(n), Polynomial.constant(n, 1), variables(n)
+    return [
+        AffineVectorField._from_coefficients(n, [zero] * (p - 1) + [one] + xs[: n - p])
+        for p in range(1, n)
+    ]
 
 
 def euler_field(n: int) -> AffineVectorField:
     """The weighted scaling field sum_h h x_h d/dx_h (weight h on x_h)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    linear = [[Fraction(0)] * n for _ in range(n)]
-    for h in range(n):
-        linear[h][h] = Fraction(h + 1)
-    return AffineVectorField(n, [0] * n, linear)
+    return AffineVectorField._from_coefficients(n, [x * h for h, x in enumerate(variables(n), 1)])
 
 
 def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
-    """The Lie bracket [X, Y] with the convention [X,Y]f = X(Yf) - Y(Xf)."""
+    """The Lie bracket [X, Y] with the convention [X,Y]f = X(Yf) - Y(Xf).
+
+    Its coefficient of d/dx_j is X(Y_j) - Y(X_j).
+    """
     if x.n != y.n:
         raise ValueError("dimension mismatch")
-    b, a_mat = x.constant, x.linear
-    c, b_mat = y.constant, y.linear
-    constant = [p - q for p, q in zip(linalg.vec_mat(b, b_mat), linalg.vec_mat(c, a_mat))]
-    ab = linalg.mat_mul(a_mat, b_mat)
-    ba = linalg.mat_mul(b_mat, a_mat)
-    linear = [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
-    return AffineVectorField(x.n, constant, linear)
+    return AffineVectorField._from_coefficients(
+        x.n, [x.apply(yj) - y.apply(xj) for xj, yj in zip(x.coefficients, y.coefficients)]
+    )
 
 
 @dataclass(frozen=True)
@@ -202,43 +214,30 @@ class AffineTransformation:
         return AffineTransformation(self.n, inv, translation)
 
 
-def _nilpotency_powers(a: Sequence[Sequence[Fraction]], n: int) -> list:
-    """Powers [I, A, A^2, ...] up to the vanishing one; error if A is not nilpotent."""
-    powers = [linalg.identity(n)]
-    current = [list(row) for row in a]
-    for _ in range(n):
-        if not any(any(row) for row in current):
-            return powers
-        powers.append(current)
-        current = linalg.mat_mul(current, a)
-    if any(any(row) for row in current):
-        raise InexactExponentialError(
-            "inexact exponential: linear part is not nilpotent"
-        )
-    return powers
-
-
 def exp_field(field: AffineVectorField, t: Scalar) -> AffineTransformation:
     """The exact time-t flow of a field whose linear part is nilpotent.
 
-    With A the linear part and c the constant part, the flow is the affine
-    map with matrix E = sum_k t^k A^k / k! and translation
-    c . (sum_k t^{k+1} A^k / (k+1)!); both sums are finite.
+    Coordinate j of the flow is the Lie series sum_k t^k/k! X^k(x_j).  With
+    A the linear part, X^k(x_j) has linear part A^k, so the series is finite
+    exactly when A is nilpotent, that is when X^(n+1)(x_j) = 0 for every j;
+    this is decided before t enters, so it holds for every t, including 0.
     """
     t = Fraction(t)
     n = field.n
-    powers = _nilpotency_powers(field.linear, n)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    shift = [[Fraction(0)] * n for _ in range(n)]
-    for k, ak in enumerate(powers):
-        ek = Fraction(t**k, factorial(k))
-        fk = Fraction(t ** (k + 1), factorial(k + 1))
-        for i in range(n):
-            for j in range(n):
-                matrix[i][j] += ek * ak[i][j]
-                shift[i][j] += fk * ak[i][j]
-    translation = linalg.vec_mat(field.constant, shift)
-    return AffineTransformation(n, matrix, translation)
+    images = []
+    for x in variables(n):
+        series = [x]
+        while series[-1] and len(series) <= n + 1:
+            series.append(field.apply(series[-1]))
+        if series[-1]:
+            raise InexactExponentialError("inexact exponential: linear part is not nilpotent")
+        image, weight = Polynomial.zero(n), Fraction(1)
+        for k, term in enumerate(series):
+            if k:
+                weight = weight * t / k
+            image = image + term * weight
+        images.append(image)
+    return AffineTransformation(n, _linear_terms(images, n), _constant_terms(images))
 
 
 def weight_scaling(n: int, lam: Scalar) -> AffineTransformation:

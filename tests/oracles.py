@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own algorithms: dense
 exponent-tuple polynomials instead of sparse monomial maps, plain rational
 Gauss-Jordan instead of fraction-free elimination, cofactor expansion
 instead of Bareiss, the pentagonal-number recurrence for partition
-counts, and the literal composition sum for the defining polynomials.
+counts, the literal composition sum for the defining polynomials, and
+matrix power sums for the flow of an affine field.
 """
 
 from __future__ import annotations
@@ -164,3 +165,35 @@ def composition_sum_poly(n: int, prefactor: Callable[[int], Fraction]) -> dict:
             key = tuple(exps)
             out[key] = out.get(key, Fraction(0)) + coeff
     return {k: v for k, v in out.items() if v}
+
+
+# -- the flow of an affine field as matrix power sums ---------------------------
+
+
+def nilpotent_flow(
+    constant: list[Fraction], linear: list[list[Fraction]], t: Fraction
+) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """(matrix, translation) of the time-t flow of the field with parts (c, A).
+
+    The matrix is sum_k t^k A^k / k! and the translation is
+    c . sum_k t^(k+1) A^k / (k+1)!, summed to k = n, as A^n = 0 for a
+    nilpotent n x n matrix A.
+    """
+    n = len(constant)
+    matrix = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    shift = [[t * int(i == j) for j in range(n)] for i in range(n)]
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    factorial = 1
+    for k in range(1, n + 1):
+        power = [
+            [sum(power[i][m] * linear[m][j] for m in range(n)) for j in range(n)] for i in range(n)
+        ]
+        factorial *= k
+        for i in range(n):
+            for j in range(n):
+                matrix[i][j] += t**k / factorial * power[i][j]
+                shift[i][j] += t ** (k + 1) / (factorial * (k + 1)) * power[i][j]
+    if any(any(row) for row in power):
+        raise ValueError("linear part is not nilpotent")
+    translation = [sum(constant[i] * shift[i][j] for i in range(n)) for j in range(n)]
+    return matrix, translation

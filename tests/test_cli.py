@@ -248,6 +248,25 @@ def test_symmetries_file_zero_denominator(capsys, tmp_path):
     assert "cannot read polynomial file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2, "terms": [{"exps": [[1, 2.7]], "num": "1", "den": "1"}]},
+        {"n": 2, "terms": [{"exps": [[1, 1]], "num": 1.5, "den": "1"}]},
+        {"n": 2.9, "terms": [{"exps": [[1, 1]], "num": "1", "den": "1"}]},
+        {"n": 2, "terms": [{"exps": [[1, True]], "num": "1", "den": "1"}]},
+    ],
+)
+def test_symmetries_file_non_integer(capsys, tmp_path, data):
+    # Each of these was once truncated by int() and solved for another polynomial.
+    path = tmp_path / "non_integer.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symmetries", "--file", str(path)])
+    assert exc.value.code == 2
+    assert "cannot read polynomial file" in capsys.readouterr().err
+
+
 def test_invariants_bundle_output(capsys):
     code, out = run(capsys, ["invariants", "--n", "4"])
     assert code == 0

@@ -229,6 +229,18 @@ def test_determinant_alternating_row_swap():
         assert determinant(PolyMatrix(swapped)) == -d
 
 
+def test_determinant_matches_cofactor_oracle():
+    # Sizes 1..3 once had their own cofactor route; every size now goes through Bareiss.
+    rng = random.Random(12)
+    for size in range(1, 5):
+        for _ in range(4):
+            rows = [[rand_poly(rng, n=2, max_degree=2) for _ in range(size)] for _ in range(size)]
+            det = determinant(PolyMatrix(rows))
+            for _ in range(3):
+                pt = rand_point(rng, 2)
+                assert det.evaluate(pt) == cofactor_det([[e.evaluate(pt) for e in row] for row in rows])
+
+
 def test_determinant_hessian_of_degree5_graph():
     # Oracle: cofactor expansion of the Hessian evaluated at two random
     # rational points gives the same value, and the symbolic determinant is
@@ -285,6 +297,28 @@ def test_json_schema_shape():
 def test_json_malformed():
     with pytest.raises(ValueError):
         poly_from_json_dict({"n": 2})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2, "terms": [{"exps": [[1, 2.7]], "num": "1", "den": "1"}]},
+        {"n": 2, "terms": [{"exps": [[1.0, 1]], "num": "1", "den": "1"}]},
+        {"n": 2, "terms": [{"exps": [[1, 1]], "num": 1.5, "den": "1"}]},
+        {"n": 2, "terms": [{"exps": [[1, 1]], "num": "1", "den": "2.0"}]},
+        {"n": 2.9, "terms": [{"exps": [[1, 1]], "num": "1", "den": "1"}]},
+        {"n": 2, "terms": [{"exps": [[1, True]], "num": "1", "den": "1"}]},
+        {"n": 2, "terms": [{"exps": [[1, 1]], "num": " 1", "den": "1"}]},
+    ],
+)
+def test_json_rejects_non_integers(data):
+    with pytest.raises(ValueError, match="malformed polynomial JSON"):
+        poly_from_json_dict(data)
+
+
+def test_json_accepts_integers_and_integer_strings():
+    data = {"n": "2", "terms": [{"exps": [["2", 3]], "num": -4, "den": "6"}]}
+    assert poly_from_json_dict(data) == Polynomial(2, [({2: 3}, Fraction(-2, 3))])
 
 
 def test_plain_and_latex_rendering():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley.generate import cayley_poly, variant_surface_4
 from cayley.poly import Polynomial, substitute_affine
@@ -24,7 +26,7 @@ from cayley.symmetry import (
     weight_scaling,
 )
 
-from oracles import dense_eigen_dimension
+from oracles import dense_eigen_dimension, nilpotent_flow
 
 
 def rand_field(rng, n):
@@ -134,8 +136,23 @@ def test_exp_field_one_parameter_group_law():
 
 
 def test_exp_field_rejects_non_nilpotent():
-    with pytest.raises(InexactExponentialError):
-        exp_field(euler_field(3), 1)
+    # Nilpotency is decided before t enters, so t = 0 raises as well.
+    for t in (1, 0):
+        with pytest.raises(InexactExponentialError):
+            exp_field(euler_field(3), t)
+
+
+def test_exp_field_matches_matrix_power_oracle():
+    rng = random.Random(29)
+    for n in range(2, 9):
+        for _ in range(4):
+            entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            constant = [entry() for _ in range(n)]
+            linear = [[entry() if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+            t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            matrix, translation = nilpotent_flow(constant, linear, t)
+            flow = exp_field(AffineVectorField(n, constant, linear), t)
+            assert flow == AffineTransformation(n, matrix, translation)
 
 
 def test_flow_invariance_of_polynomial():
@@ -303,3 +320,62 @@ def test_field_json_shape():
         "linear": [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]],
         "eigenvalue": "0",
     }
+
+
+# -- property tests ---------------------------------------------------------------
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def fields(draw, n):
+    constant = draw(st.lists(small_rationals, min_size=n, max_size=n))
+    row = st.lists(small_rationals, min_size=n, max_size=n)
+    return AffineVectorField(n, constant, draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@st.composite
+def polynomials(draw, n):
+    exponents = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(exponents, small_rationals), max_size=4))
+    return Polynomial(n, [({i + 1: e for i, e in enumerate(exps)}, c) for exps, c in terms])
+
+
+@st.composite
+def same_space(draw, count):
+    """count random fields and one random polynomial, all in n <= 4 variables."""
+    n = draw(st.integers(1, 4))
+    return [draw(fields(n)) for _ in range(count)], draw(polynomials(n))
+
+
+property_settings = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@property_settings
+@given(same_space(2))
+def test_bracket_is_antisymmetric(case):
+    (x, y), _ = case
+    assert commutator(x, y) == commutator(y, x).scale(-1)
+
+
+@property_settings
+@given(same_space(3))
+def test_bracket_satisfies_jacobi(case):
+    (x, y, z), _ = case
+    cyclic = [commutator(a, commutator(b, c)) for a, b, c in ((x, y, z), (y, z, x), (z, x, y))]
+    assert (cyclic[0] + cyclic[1] + cyclic[2]).is_zero()
+
+
+@property_settings
+@given(same_space(2))
+def test_bracket_acts_as_commutator_of_derivations(case):
+    (x, y), p = case
+    assert commutator(x, y).apply(p) == x.apply(y.apply(p)) - y.apply(x.apply(p))
+
+
+@property_settings
+@given(same_space(2))
+def test_field_round_trips_through_constant_and_linear(case):
+    (x, y), _ = case
+    for f in (x, commutator(x, y), x + y.scale(Fraction(-1, 2))):
+        assert AffineVectorField(f.n, f.constant, f.linear) == f
