@@ -354,9 +354,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_b_values(argv: list[str]) -> list[str]:
+    """Rewrite `--b VALUE` as `--b=VALUE`.
+
+    argparse takes a separate word such as -7/3 for an option, not for the
+    value of --b; attached with `=`, every value reads the same.
+    """
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] == "--b":
+            out[-1] = f"--b={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_b_values(sys.argv[1:] if argv is None else argv))
     if args.command == "generate":
         return _cmd_generate(parser, args)
     if args.command == "verify":

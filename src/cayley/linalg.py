@@ -3,108 +3,79 @@
 Internal substrate for the symmetry solver (nullspaces, ranks) and the
 geometric invariants (matrix inversion, inertia of symmetric forms).  All
 routines take lists of lists of Fraction-compatible values and never touch
-floating point.
+floating point.  Nullspace, rank and inversion read one sparse reduced row
+echelon form; inertia is a symmetric congruence reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
 
 
-def _as_fraction_rows(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
+def _reduced_echelon(rows: Sequence[Sequence]) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced row echelon form of dense rows, computed on sparse rows.
 
-
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Scale each row to coprime integers (row scaling preserves the nullspace)."""
-    out = []
-    for row in rows:
-        fracs = [Fraction(v) for v in row]
-        lcm = 1
-        for f in fracs:
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-        ints = [int(f * lcm) for f in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-
-
-def _fraction_free_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Bareiss row echelon form on an integer matrix.
-
-    Pivots are the first nonzero entry in column order (rows swapped into
-    place), so the result is deterministic.  Returns the echelon matrix and
-    the list of pivot columns.
+    A sparse row maps column -> nonzero Fraction.  The pivot is the smallest
+    column present in any remaining row, taken from the first row that holds
+    it; only rows holding the pivot column are updated.  Returns the nonzero
+    rows of the reduced form, each without its pivot entry (which is 1), and
+    their pivot columns, both in ascending pivot order.  The reduced form is
+    unique, so the result does not depend on the pivot rule.
     """
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    pending = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+    pending = [row for row in pending if row]
+    reduced: list[dict[int, Fraction]] = []
     pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    while pending:
+        col = min(min(row) for row in pending)
+        pivot_row = pending.pop(next(i for i, row in enumerate(pending) if col in row))
+        scale = pivot_row.pop(col)
+        pivot_row = {j: v / scale for j, v in pivot_row.items()}
+        for row in pending + reduced:
+            factor = row.pop(col, None)
+            if factor is None:
+                continue
+            for j, v in pivot_row.items():
+                updated = row.get(j, 0) - factor * v
+                if updated:
+                    row[j] = updated
+                else:
+                    del row[j]
+        pending = [row for row in pending if row]
+        reduced.append(pivot_row)
+        pivots.append(col)
+    return reduced, pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank over the rationals."""
-    if not rows:
-        return 0
-    _, pivots = _fraction_free_echelon(_integer_rows(rows))
-    return len(pivots)
+    """Exact rank over the rationals: the pivot count of the reduced form."""
+    return len(_reduced_echelon(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
     """Deterministic rational basis of the right nullspace.
 
-    Elimination is fraction-free; back-substitution is exact rational.  One
-    basis vector per free column, in ascending column order, each normalized
-    so its first nonzero entry is 1.
+    Read off the sparse reduced row echelon form: one basis vector per free
+    column, in ascending column order, each normalized so its first nonzero
+    entry is 1.
     """
-    if not rows:
-        if ncols is None:
+    if ncols is None:
+        if not rows:
             raise ValueError("ncols required for an empty system")
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    width = ncols if ncols is not None else len(rows[0])
-    echelon, pivots = _fraction_free_echelon(_integer_rows(rows))
+        ncols = len(rows[0])
+    reduced, pivots = _reduced_echelon(rows)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(width) if c not in pivot_set]
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * width
-        v[f] = Fraction(1)
-        # Solve pivot coordinates bottom-up.
-        for k in range(len(pivots) - 1, -1, -1):
-            pc = pivots[k]
-            s = sum((Fraction(echelon[k][j]) * v[j] for j in range(pc + 1, width)), Fraction(0))
-            v[pc] = -s / echelon[k][pc]
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            v[col] = -row.get(free, Fraction(0))
         first = next(x for x in v if x)
         basis.append([x / first for x in v])
     return basis
@@ -128,25 +99,16 @@ def vec_mat(v: Sequence, a: Sequence[Sequence]) -> list[Fraction]:
 
 
 def invert(matrix: Sequence[Sequence]) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination; ValueError if singular."""
+    """Exact inverse by reducing [A | I]; ValueError if singular."""
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix is not square")
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-           for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot_row = next((i for i in range(col, size) if aug[i][col]), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for i in range(size):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [row[size:] for row in aug]
+    reduced, pivots = _reduced_echelon(
+        [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(matrix)]
+    )
+    if pivots != list(range(size)):
+        raise ValueError("singular matrix")
+    return [[row.get(size + j, Fraction(0)) for j in range(size)] for row in reduced]
 
 
 def inertia(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
