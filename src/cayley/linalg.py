@@ -25,7 +25,9 @@ def _reduced_echelon(rows: Sequence[Sequence]) -> tuple[list[dict[int, Fraction]
     their pivot columns, both in ascending pivot order.  The reduced form is
     unique, so the result does not depend on the pivot rule.
     """
-    pending = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+    # `v and` skips the many zeros without building a Fraction; a value
+    # such as the string "0" is converted first and then dropped.
+    pending = [{j: f for j, v in enumerate(row) if v and (f := Fraction(v))} for row in rows]
     pending = [row for row in pending if row]
     reduced: list[dict[int, Fraction]] = []
     pivots: list[int] = []

@@ -71,19 +71,11 @@ def test_generate_bad_b(capsys):
     capsys.readouterr()
 
 
-def exit_and_output(capsys, argv):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().out
-
-
 @pytest.mark.parametrize("command", ["generate", "symmetries", "invariants"])
 @pytest.mark.parametrize("b", ["-7/3", "-1", "1/2"])
 def test_b_as_separate_word_matches_attached(capsys, command, b):
-    separate = exit_and_output(capsys, [command, "--n", "5", "--b", b])
-    attached = exit_and_output(capsys, [command, "--n", "5", f"--b={b}"])
+    separate = run(capsys, [command, "--n", "5", "--b", b])
+    attached = run(capsys, [command, "--n", "5", f"--b={b}"])
     assert separate == attached
     assert separate[0] == 0
 

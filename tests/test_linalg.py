@@ -74,6 +74,16 @@ def test_nullspace_basis_convention():
     assert rank(rows) == 2
 
 
+def test_string_entries_are_read_as_fractions():
+    # "0" is a zero entry, not a truthy string that could become a pivot.
+    rows = [["0", "1/2"], ["0", "0"]]
+    assert nullspace(rows) == [[1, 0]]
+    assert rank(rows) == 1
+    assert invert([["0", "2"], ["1/3", "0"]]) == [[0, 3], [Fraction(1, 2), 0]]
+    with pytest.raises(ValueError, match="singular"):
+        invert([["0", "0"], ["0", "1"]])
+
+
 def test_empty_system():
     assert nullspace([], ncols=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert nullspace([], ncols=0) == []
