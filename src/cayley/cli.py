@@ -48,26 +48,23 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _n_range(text: str) -> list[int]:
+def _n_range(text: str) -> range:
+    """N or A..B as an ascending range, kept lazy so the guard sees it first."""
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        bounds = [int(part) for part in text.split("..", 1)]
+        if bounds[-1] < bounds[0]:
+            raise ValueError
+        return range(bounds[0], bounds[-1] + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}") from None
 
 
-def _guard_n(parser: argparse.ArgumentParser, values: list[int], force: bool) -> None:
+def _guard_n(parser: argparse.ArgumentParser, worst: int, force: bool) -> None:
     text = os.environ.get("CAYLEY_MAX_N", str(DEFAULT_MAX_N))
     try:
         limit = int(text)
     except ValueError:
         parser.error(f"CAYLEY_MAX_N must be an integer, got {text!r}")
-    worst = max(values)
     if worst > limit and not force:
         parser.error(f"n={worst} exceeds the guard ({limit}); pass --force or set CAYLEY_MAX_N")
 
@@ -219,7 +216,7 @@ def _target_poly(parser, n: int | None, b: Fraction | None, variant: bool) -> tu
 
 def _cmd_generate(parser, args) -> int:
     n, phi, _ = _target_poly(parser, args.n, args.b, args.variant)
-    _guard_n(parser, [n], args.force)
+    _guard_n(parser, n, args.force)
     if args.format == "json":
         print(json.dumps(poly_to_json_dict(phi), indent=2))
     elif args.format == "latex":
@@ -244,10 +241,10 @@ def _cmd_verify(parser, args) -> int:
         if name not in allowed:
             parser.error(f"check {name!r} is not applicable to the variant surface")
     ns = args.n
-    if min(ns) < 3:
+    if ns[0] < 3:
         parser.error("verify needs n >= 3")
-    _guard_n(parser, ns, args.force)
-    if args.variant and ns != [4]:
+    _guard_n(parser, ns[-1], args.force)
+    if args.variant and ns != range(4, 5):
         parser.error("the variant surface exists only for n = 4")
 
     reports = []
@@ -286,7 +283,7 @@ def _cmd_symmetries(parser, args) -> int:
         n, source = phi.n, "file"
     else:
         n, phi, source = _target_poly(parser, args.n, args.b, args.variant)
-    _guard_n(parser, [n], args.force)
+    _guard_n(parser, n, args.force)
     if not phi:
         parser.error("the zero polynomial has no symmetry algebra")
     algebra = symmetry.symmetry_algebra(phi)
@@ -309,7 +306,7 @@ def _cmd_symmetries(parser, args) -> int:
 
 def _cmd_invariants(parser, args) -> int:
     n, phi, source = _target_poly(parser, args.n, args.b, args.variant)
-    _guard_n(parser, [n], args.force)
+    _guard_n(parser, n, args.force)
     if n < 3:
         parser.error("invariants need n >= 3")
     bundle = geometry.invariants_bundle(n, phi)

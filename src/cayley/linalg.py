@@ -3,70 +3,76 @@
 Internal substrate for the symmetry solver (nullspaces, ranks) and the
 geometric invariants (matrix inversion, inertia of symmetric forms).  All
 routines take lists of lists of Fraction-compatible values and never touch
-floating point.  Nullspace, rank and inversion read one sparse reduced row
-echelon form; inertia is a symmetric congruence reduction.
+floating point; nullspace and rank also take rows as maps column -> value.
+Nullspace, rank and inversion read one sparse reduced row echelon form,
+built one row at a time; inertia is a symmetric congruence reduction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Sequence
 
 Matrix = list[list[Fraction]]
+Rows = Sequence[Sequence | Mapping[int, object]]
 
 
-def _reduced_echelon(rows: Sequence[Sequence]) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced row echelon form of dense rows, computed on sparse rows.
+def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
+    """row -= factor * other, in place, on sparse rows."""
+    for j, v in other.items():
+        if updated := row.get(j, 0) - factor * v:
+            row[j] = updated
+        else:
+            del row[j]
 
-    A sparse row maps column -> nonzero Fraction.  The pivot is the smallest
-    column present in any remaining row, taken from the first row that holds
-    it; only rows holding the pivot column are updated.  Returns the nonzero
-    rows of the reduced form, each without its pivot entry (which is 1), and
-    their pivot columns, both in ascending pivot order.  The reduced form is
-    unique, so the result does not depend on the pivot rule.
+
+def _reduced_echelon(rows: Rows) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced row echelon form on sparse rows, built one row at a time.
+
+    Each row, dense or a map column -> value, is read as column -> nonzero
+    Fraction and reduced by the reduced rows at the pivot columns it holds;
+    a remainder pivots on its smallest column, which is then cleared from
+    the earlier rows.  Returns the nonzero rows, each without its pivot
+    entry (which is 1), and their pivot columns, in ascending pivot order.
+    The reduced form is unique, so the row order does not change it.
     """
-    # `v and` skips the many zeros without building a Fraction; a value
-    # such as the string "0" is converted first and then dropped.
-    pending = [{j: f for j, v in enumerate(row) if v and (f := Fraction(v))} for row in rows]
-    pending = [row for row in pending if row]
-    reduced: list[dict[int, Fraction]] = []
-    pivots: list[int] = []
-    while pending:
-        col = min(min(row) for row in pending)
-        pivot_row = pending.pop(next(i for i, row in enumerate(pending) if col in row))
-        scale = pivot_row.pop(col)
-        pivot_row = {j: v / scale for j, v in pivot_row.items()}
-        for row in pending + reduced:
-            factor = row.pop(col, None)
-            if factor is None:
-                continue
-            for j, v in pivot_row.items():
-                updated = row.get(j, 0) - factor * v
-                if updated:
-                    row[j] = updated
-                else:
-                    del row[j]
-        pending = [row for row in pending if row]
-        reduced.append(pivot_row)
-        pivots.append(col)
-    return reduced, pivots
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        # `v and` skips the many zeros without building a Fraction; a value
+        # such as the string "0" is converted first and then dropped.
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        row = {j: f for j, v in items if v and (f := Fraction(v))}
+        for col in [j for j in row if j in reduced]:
+            _subtract(row, row.pop(col), reduced[col])
+        if not row:
+            continue
+        col = min(row)
+        scale = row.pop(col)
+        row = {j: v / scale for j, v in row.items()}
+        for earlier in reduced.values():
+            factor = earlier.pop(col, None)
+            if factor is not None:
+                _subtract(earlier, factor, row)
+        reduced[col] = row
+    pivots = sorted(reduced)
+    return [reduced[col] for col in pivots], pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
+def rank(rows: Rows) -> int:
     """Exact rank over the rationals: the pivot count of the reduced form."""
     return len(_reduced_echelon(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
+def nullspace(rows: Rows, ncols: int | None = None) -> list[list[Fraction]]:
     """Deterministic rational basis of the right nullspace.
 
-    Read off the sparse reduced row echelon form: one basis vector per free
-    column, in ascending column order, each normalized so its first nonzero
-    entry is 1.
+    Rows are dense or maps column -> value (then ncols is required), reduced
+    one at a time.  One basis vector per free column of the reduced form, in
+    ascending order, each normalized so its first nonzero entry is 1.
     """
     if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty system")
+        if not rows or isinstance(rows[0], Mapping):
+            raise ValueError("ncols required for an empty system or map rows")
         ncols = len(rows[0])
     reduced, pivots = _reduced_echelon(rows)
     pivot_set = set(pivots)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import linalg
-from .poly import Mono, Polynomial, _mono_key, variables
+from .poly import Mono, Polynomial, variables
 
 Scalar = Union[int, Fraction]
 
@@ -311,31 +311,25 @@ def _eigen_system(p: Polynomial, include_constant: bool) -> SymmetryAlgebra:
         raise ValueError("polynomial must be nonzero")
     n = p.n
     diffs = [p.diff(j) for j in range(1, n + 1)]
-    xs = [Polynomial.variable(n, i) for i in range(1, n + 1)]
     # Unknown order: c, then constant part by index, then linear part row-major.
     columns: list[Polynomial] = [-p]
     if include_constant:
         columns.extend(diffs)
-    for i in range(n):
-        for j in range(n):
-            columns.append(xs[i] * diffs[j])
-    monos: set[Mono] = set()
-    for col in columns:
-        monos.update(col.terms)
-    rows_index = sorted(monos, key=lambda m: _mono_key(m, n))
-    matrix = [[col.terms.get(mono, Fraction(0)) for col in columns] for mono in rows_index]
-    basis_vectors = linalg.nullspace(matrix, ncols=len(columns))
+    columns.extend(x * d for x in variables(n) for d in diffs)
+    # One sparse row per monomial, column -> coefficient; the reduced form
+    # does not depend on the row order.
+    rows: dict[Mono, dict[int, Fraction]] = {}
+    for k, col in enumerate(columns):
+        for mono, coeff in col.terms.items():
+            rows.setdefault(mono, {})[k] = coeff
+    basis_vectors = linalg.nullspace(list(rows.values()), ncols=len(columns))
     fields = []
     eigenvalues = []
     for vec in basis_vectors:
-        c = vec[0]
-        offset = 1
-        if include_constant:
-            constant = vec[1 : n + 1]
-            offset = n + 1
-        else:
-            constant = [Fraction(0)] * n
-        linear = [vec[offset + i * n : offset + (i + 1) * n] for i in range(n)]
+        if not include_constant:
+            vec = vec[:1] + [Fraction(0)] * n + vec[1:]
+        c, constant = vec[0], vec[1 : n + 1]
+        linear = [vec[(i + 1) * n + 1 : (i + 2) * n + 1] for i in range(n)]
         field = AffineVectorField(n, constant, linear)
         if field.apply(p) != p * c:
             raise RuntimeError("solver produced a field violating its eigen-relation")

@@ -110,17 +110,20 @@ def all_exponents(n_vars: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def dense_eigen_dimension(p) -> int:
+def dense_eigen_dimension(p, include_constant: bool = True) -> int:
     """Dimension of {(c, X) : X p = c p, X affine} by a dense brute-force route.
 
     Assembles the coefficient matrix over every monomial of degree <= deg p
-    and counts free columns with plain Gauss-Jordan.
+    and counts free columns with plain Gauss-Jordan.  With include_constant
+    False the constant-part columns are dropped, so X is purely linear (the
+    isotropy at the origin).
     """
     n = p.n
     phi = dense_from_sparse(p)
     diffs = [dense_diff(phi, j) for j in range(1, n + 1)]
     columns = [dense_scale(phi, Fraction(-1))]
-    columns += diffs
+    if include_constant:
+        columns += diffs
     for i in range(1, n + 1):
         for j in range(n):
             columns.append(dense_mul_var(diffs[j], i))

@@ -102,13 +102,13 @@ def test_criterion_03_abelian_transitive_orbits():
 
 def test_criterion_04_one_dimensional_isotropy():
     def body():
-        for n in range(3, 9):
+        for n in range(3, 15):
             iso = isotropy_at_origin(cayley_poly(n))
             assert iso.dimension == 1
             assert span_contains(iso, [euler_field(n)])
         assert isotropy_at_origin(variant_surface_4()).dimension == 2
 
-    _criterion(4, "linear isotropy rank 1 (variant: rank 2)", 60, body)
+    _criterion(4, "linear isotropy rank 1, n = 3..14 (variant: rank 2)", 60, body)
 
 
 def test_criterion_05_tracefree_tensors_and_parallel_normals():
@@ -195,7 +195,7 @@ def test_criterion_09_term_count_is_partition_count():
 
 def test_criterion_10_symmetry_solver():
     def body():
-        for n in range(3, 9):
+        for n in range(3, 13):
             phi = cayley_poly(n)
             algebra = symmetry_algebra(phi)
             known = cayley_fields(n) + [euler_field(n)]
@@ -206,7 +206,7 @@ def test_criterion_10_symmetry_solver():
             phi = cayley_poly(n)
             assert symmetry_algebra(phi).dimension == dense_eigen_dimension(phi)
 
-    _criterion(10, "solver spans the known fields; matches dense nullspace", 120, body)
+    _criterion(10, "solver spans the known fields, n = 3..12; matches dense nullspace", 120, body)
 
 
 def test_closed_form_coefficients_cross_check():

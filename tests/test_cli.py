@@ -193,6 +193,33 @@ def test_symmetries_file_is_guarded(capsys, tmp_path, monkeypatch):
     assert "exceeds the guard" in capsys.readouterr().err
 
 
+def test_huge_verify_range_is_guarded_before_it_is_built(capsys, monkeypatch):
+    # Exit 2 with the guard message, not a MemoryError from listing 10^12 dimensions.
+    monkeypatch.delenv("CAYLEY_MAX_N", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--n", "3..1000000000000"])
+    assert exc.value.code == 2
+    assert "n=1000000000000 exceeds the guard" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--n", "3..1000000000000", "--force", "--variant"])
+    assert exc.value.code == 2
+    assert "the variant surface exists only for n = 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["3", "3..4", "5..5", "4..5"])
+def test_verify_variant_needs_exactly_n_4(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--n", n, "--variant", "--checks", "isotropy"])
+    assert exc.value.code == 2
+    assert "the variant surface exists only for n = 4" in capsys.readouterr().err
+
+
+def test_verify_variant_accepts_range_4_to_4(capsys):
+    assert run(capsys, ["verify", "--n", "4..4", "--variant", "--checks", "isotropy"]) == run(
+        capsys, ["verify", "--n", "4", "--variant", "--checks", "isotropy"]
+    )
+
+
 def test_symmetries_cayley(capsys):
     code, out = run(capsys, ["symmetries", "--n", "3"])
     assert code == 0

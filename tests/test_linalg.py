@@ -58,6 +58,7 @@ def check_basis(rows, ncols, basis):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_nullspace_and_rank_on_random_systems(seed):
+    rng = random.Random(1000 + seed)
     for rows, ncols in random_systems(seed):
         basis = nullspace(rows, ncols)
         check_basis(rows, ncols, basis)
@@ -65,6 +66,13 @@ def test_nullspace_and_rank_on_random_systems(seed):
         nullity = rref_nullity(rows, ncols)
         assert len(basis) == nullity
         assert rank(rows) == ncols - nullity
+        # The same system as column -> value maps without zeros, and with its
+        # rows shuffled: the reduced form, hence basis and rank, is unchanged.
+        maps = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        shuffled = rng.sample(rows, len(rows))
+        for same in (maps, shuffled):
+            assert nullspace(same, ncols) == basis
+            assert rank(same) == ncols - nullity
 
 
 def test_nullspace_basis_convention():
@@ -90,6 +98,10 @@ def test_empty_system():
     assert rank([]) == 0
     with pytest.raises(ValueError):
         nullspace([])
+    # A map row does not tell the column count.
+    with pytest.raises(ValueError):
+        nullspace([{0: 1}])
+    assert nullspace([{0: 1}], ncols=2) == [[0, 1]]
 
 
 @pytest.mark.parametrize("seed", range(4))

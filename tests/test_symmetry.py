@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley.generate import cayley_poly, variant_surface_4
+from cayley.generate import cayley_poly, family_poly, variant_surface_4
 from cayley.poly import Polynomial, substitute_affine
 from cayley.symmetry import (
     AffineTransformation,
@@ -26,7 +26,7 @@ from cayley.symmetry import (
     weight_scaling,
 )
 
-from oracles import dense_eigen_dimension, nilpotent_flow
+from oracles import all_exponents, dense_eigen_dimension, nilpotent_flow, rref_nullity
 
 
 def rand_field(rng, n):
@@ -243,13 +243,36 @@ def test_symmetry_algebra_eigenrelations_hold():
             assert field.apply(phi) == phi * c
 
 
+def seeded_polys(seed):
+    """Two random polynomials in 5 variables, of degree <= 3, without constant term.
+
+    The first is homogeneous of weight 4 for the weights (1, 2, 3, 1, 2); the
+    second is redrawn until its exponent differences have full rank, so no
+    nonzero weight vector grades it.
+    """
+    rng = random.Random(seed)
+    monomials = [e for e in all_exponents(5, 3) if sum(e)]
+    graded = [e for e in monomials if sum(w * x for w, x in zip((1, 2, 3, 1, 2), e)) == 4]
+    while True:
+        ungraded = rng.sample(monomials, 6)
+        if not rref_nullity([[a - b for a, b in zip(e, ungraded[0])] for e in ungraded[1:]], 5):
+            break
+
+    def poly(exponents):
+        coefficients = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)) for _ in exponents]
+        return Polynomial(5, [(enumerate(e, 1), c) for e, c in zip(exponents, coefficients)])
+
+    return poly(rng.sample(graded, 6)), poly(ungraded)
+
+
 def test_symmetry_algebra_dimension_matches_dense_oracle():
-    for n in range(2, 5):
-        phi = cayley_poly(n)
-        assert symmetry_algebra(phi).dimension == dense_eigen_dimension(phi)
-    assert symmetry_algebra(variant_surface_4()).dimension == dense_eigen_dimension(
-        variant_surface_4()
-    )
+    polys = [cayley_poly(n) for n in range(2, 5)] + [variant_surface_4()]
+    polys += [family_poly(5, Fraction(1, 2)), family_poly(5, Fraction(-7, 3))]
+    for seed in range(3):
+        polys += seeded_polys(seed)
+    for p in polys:
+        assert symmetry_algebra(p).dimension == dense_eigen_dimension(p)
+        assert isotropy_at_origin(p).dimension == dense_eigen_dimension(p, include_constant=False)
 
 
 def test_symmetry_algebra_of_round_paraboloid():
