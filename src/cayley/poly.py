@@ -153,9 +153,7 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max((mono_degree(m) for m in self.terms), default=-1)
 
     def degree_in(self, variables: Iterable[int]) -> int:
         """Maximum joint degree of the given variables over all terms."""
@@ -538,40 +536,43 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
         t_mono = mono_div(r_mono, q_mono)
         if t_mono is None:
             raise ValueError("inexact polynomial division")
-        t_coeff = r_coeff / q_coeff
-        quotient[t_mono] = quotient.get(t_mono, _ZERO) + t_coeff
-        rem = rem - Polynomial._raw(p.n, {t_mono: t_coeff}) * q
-    return Polynomial._raw(p.n, {m: c for m, c in quotient.items() if c})
+        # Leading monomials strictly decrease, so each quotient term is new.
+        quotient[t_mono] = r_coeff / q_coeff
+        rem = rem - Polynomial._raw(p.n, {t_mono: quotient[t_mono]}) * q
+    return Polynomial._raw(p.n, quotient)
 
 
 def determinant(matrix: PolyMatrix) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Uses fraction-free Bareiss elimination: all intermediate entries are
-    true minors, so every division is exact.
+    Fraction-free Bareiss elimination with full pivoting: step k swaps into
+    place the row and column of the nonzero trailing-block entry with the
+    lowest (total degree, term count, row, column), one sign flip per swap.
+    Entries stay minors of the permuted matrix, so each update divides exactly
+    by the previous pivot: as a scalar if it is constant, else by divide_exact.
     """
     if matrix.rows != matrix.cols:
         raise ValueError(f"non-square matrix: {matrix.rows}x{matrix.cols}")
     size = matrix.rows
-    n = matrix.ambient_dimension()
     a = [list(row) for row in matrix.entries]
-    zero = Polynomial.zero(n)
-    prev = Polynomial.constant(n, 1)
+    prev = Polynomial.constant(matrix.ambient_dimension(), 1)
     sign = 1
-    for k in range(size - 1):
-        pivot_row = next((i for i in range(k, size) if a[i][k]), None)
-        if pivot_row is None:
-            return zero
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
+    for k in range(size):
+        block = [(a[i][j].total_degree(), len(a[i][j].terms), i, j)
+                 for i in range(k, size) for j in range(k, size) if a[i][j]]
+        if not block:
+            return Polynomial.zero(prev.n)
+        _, _, pi, pj = min(block)
+        a[k], a[pi] = a[pi], a[k]
+        for row in a[k:]:
+            row[k], row[pj] = row[pj], row[k]
+        sign *= (-1) ** ((pi != k) + (pj != k))
         for i in range(k + 1, size):
             for j in range(k + 1, size):
-                a[i][j] = divide_exact(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            a[i][k] = zero
+                update = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = update / prev.terms[()] if prev.is_constant() else divide_exact(update, prev)
         prev = a[k][k]
-    det = a[size - 1][size - 1]
-    return det if sign == 1 else -det
+    return prev if sign == 1 else -prev
 
 
 def variables(n: int) -> list[Polynomial]:

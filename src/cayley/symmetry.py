@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import linalg
-from .poly import Mono, Polynomial, variables
+from .poly import Mono, Polynomial, mono_mul, variables
 
 Scalar = Union[int, Fraction]
 
@@ -312,16 +312,15 @@ def _eigen_system(p: Polynomial, include_constant: bool) -> SymmetryAlgebra:
     n = p.n
     diffs = [p.diff(j) for j in range(1, n + 1)]
     # Unknown order: c, then constant part by index, then linear part row-major.
-    columns: list[Polynomial] = [-p]
-    if include_constant:
-        columns.extend(diffs)
-    columns.extend(x * d for x in variables(n) for d in diffs)
+    # Each column is (monomial factor, term map): x_i and dp/dx_j for unknown (i, j).
+    columns = [((), (-p).terms)] + [((), d.terms) for d in diffs if include_constant]
+    columns += [(((i, 1),), d.terms) for i in range(1, n + 1) for d in diffs]
     # One sparse row per monomial, column -> coefficient; the reduced form
     # does not depend on the row order.
     rows: dict[Mono, dict[int, Fraction]] = {}
-    for k, col in enumerate(columns):
-        for mono, coeff in col.terms.items():
-            rows.setdefault(mono, {})[k] = coeff
+    for k, (shift, terms) in enumerate(columns):
+        for mono, coeff in terms.items():
+            rows.setdefault(mono_mul(mono, shift), {})[k] = coeff
     basis_vectors = linalg.nullspace(list(rows.values()), ncols=len(columns))
     fields = []
     eigenvalues = []

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the library's own algorithms: dense
 exponent-tuple polynomials instead of sparse monomial maps, plain rational
-Gauss-Jordan instead of fraction-free elimination, cofactor expansion
-instead of Bareiss, the pentagonal-number recurrence for partition
-counts, the literal composition sum for the defining polynomials, and
-matrix power sums for the flow of an affine field.
+Gauss-Jordan instead of fraction-free elimination, cofactor expansion and
+plain Gaussian elimination at rational points instead of polynomial
+Bareiss, the pentagonal-number recurrence for partition counts, the
+literal composition sum for the defining polynomials, and matrix power
+sums for the flow of an affine field.
 """
 
 from __future__ import annotations
@@ -46,6 +47,24 @@ def cofactor_det(m: list[list[Fraction]]) -> Fraction:
         term = m[0][j] * cofactor_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def scalar_det(m: list[list[Fraction]]) -> Fraction:
+    """Determinant by plain rational Gaussian elimination with row swaps."""
+    m = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
 
 
 def rref_nullity(rows: list[list[Fraction]], ncols: int) -> int:

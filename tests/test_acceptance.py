@@ -42,7 +42,7 @@ from cayley.symmetry import (
     symmetry_algebra,
 )
 
-from oracles import dense_eigen_dimension, partition_counts
+from oracles import dense_eigen_dimension, partition_counts, scalar_det
 from test_generate import GOLDEN
 
 
@@ -120,15 +120,21 @@ def test_criterion_05_tracefree_tensors_and_parallel_normals():
             for m in range(3, n + 1):
                 assert trace(indicator_tensor(n, m), g_ind_inv).is_zero()
                 assert trace(taylor_tensor(f, m), g_tay_inv).is_zero()
-        for n in range(3, 9):
-            assert hessian_determinant(graph_function(n)).is_constant()
+        rng = random.Random(5)
+        for n in range(3, 21):
+            f = graph_function(n)
+            hess = hessian_determinant(f)
+            assert hess.is_constant()
+            pt = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(f.n)]
+            rows = [[f.diff(i).diff(j).evaluate(pt) for j in range(1, n)] for i in range(1, n)]
+            assert hess.coefficient({}) == scalar_det(rows)
         for n in range(3, 13):
             d_n = coordinate_field(n, n)
             for field in cayley_fields(n):
                 assert commutator(field, d_n).is_zero()
             assert commutator(d_n, euler_field(n)) == d_n.scale(n)
 
-    _criterion(5, "trace-free tensors; constant Hessian; grading brackets", 60, body)
+    _criterion(5, "trace-free tensors; constant Hessian, n = 3..20; grading brackets", 60, body)
 
 
 def test_criterion_06_ruling_and_split_signature():

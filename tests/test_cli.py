@@ -92,6 +92,15 @@ def test_verify_all_checks_pass(capsys):
         assert all(c["status"] == "pass" for c in target_report["checks"])
 
 
+def test_verify_hessian_through_n_20(capsys):
+    code, out = run(capsys, ["verify", "--n", "3..20", "--checks", "hessian"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert [r["target"]["n"] for r in report["reports"]] == list(range(3, 21))
+    assert all(r["pass"] and r["checks"][0]["status"] == "pass" for r in report["reports"])
+
+
 def test_verify_single_check(capsys):
     code, out = run(capsys, ["verify", "--n", "4", "--checks", "pick"])
     assert code == 0

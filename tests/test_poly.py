@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley.poly import (
     PolyMatrix,
@@ -16,10 +18,10 @@ from cayley.poly import (
     substitute_affine,
     weighted_degree_check,
 )
-from cayley.generate import cayley_poly, graph_function
+from cayley.generate import cayley_poly, family_poly, graph_function, graph_of
 from cayley.symmetry import AffineTransformation, cayley_fields, exp_field
 
-from oracles import cofactor_det
+from oracles import cofactor_det, scalar_det
 
 
 def rand_poly(rng, n=3, max_degree=3, max_terms=4):
@@ -255,6 +257,94 @@ def test_determinant_hessian_of_degree5_graph():
     assert values[0] == values[1]
     symbolic = determinant(PolyMatrix(hess))
     assert symbolic == Polynomial.constant(4, values[0])
+
+
+def _det_checked_at_points(rows, rng, count=3):
+    """determinant(rows), after checking it against scalar_det at seeded points."""
+    det = determinant(PolyMatrix(rows))
+    for _ in range(count):
+        pt = rand_point(rng, rows[0][0].n)
+        assert det.evaluate(pt) == scalar_det([[e.evaluate(pt) for e in row] for row in rows])
+    return det
+
+
+def _rand_matrix(rng, size, shape):
+    rows = [[rand_poly(rng, n=2, max_degree=2, max_terms=2) for _ in range(size)] for _ in range(size)]
+    zero = Polynomial.zero(2)
+    if shape == "zero row":
+        rows[rng.randrange(size)] = [zero] * size
+    elif shape == "zero column":
+        j = rng.randrange(size)
+        for row in rows:
+            row[j] = zero
+    elif shape == "non-constant first column":
+        # Only a column swap can bring the constant pivot into place.
+        for row in rows:
+            while row[0].is_constant():
+                row[0] = row[0] + Polynomial.variable(2, 1)
+        rows[rng.randrange(size)][rng.randrange(1, size)] = Polynomial.constant(2, 3)
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["random", "zero row", "zero column", "non-constant first column"])
+def test_determinant_matches_scalar_oracle_on_random_matrices(shape):
+    rng = random.Random(13)
+    for size in range(5, 9):
+        det = _det_checked_at_points(_rand_matrix(rng, size, shape), rng)
+        if shape.startswith("zero"):
+            assert not det
+
+
+@pytest.mark.parametrize("b", [Fraction(0), Fraction(1, 2), Fraction(-7, 3), Fraction(3)])
+def test_determinant_matches_scalar_oracle_on_family_hessians(b):
+    rng = random.Random(14)
+    for n in range(3, 13):
+        f = graph_of(family_poly(n, b), n)
+        hess = [[f.diff(i).diff(j) for j in range(1, n)] for i in range(1, n)]
+        _det_checked_at_points(hess, rng)
+
+
+def _poly_matrices(min_size=1, max_size=4):
+    """Square matrices of sparse polynomials in x1, x2 of degree <= 4."""
+    exps = st.dictionaries(st.integers(1, 2), st.integers(0, 2), max_size=2)
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    entries = st.lists(st.tuples(exps, coeffs), max_size=3).map(lambda terms: Polynomial(2, terms))
+    return st.integers(min_size, max_size).flatmap(
+        lambda size: st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size)
+    )
+
+
+det_settings = settings(derandomize=True, deadline=None)
+
+
+@det_settings
+@given(_poly_matrices())
+def test_determinant_of_transpose(rows):
+    assert determinant(PolyMatrix([list(col) for col in zip(*rows)])) == determinant(PolyMatrix(rows))
+
+
+@det_settings
+@given(_poly_matrices(min_size=2), st.data())
+def test_determinant_changes_sign_under_row_and_column_swaps(rows, data):
+    i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+    det = determinant(PolyMatrix(rows))
+    swapped_rows = list(rows)
+    swapped_rows[i], swapped_rows[j] = rows[j], rows[i]
+    assert determinant(PolyMatrix(swapped_rows)) == -det
+    swapped_cols = [list(row) for row in rows]
+    for row in swapped_cols:
+        row[i], row[j] = row[j], row[i]
+    assert determinant(PolyMatrix(swapped_cols)) == -det
+
+
+@det_settings
+@given(
+    _poly_matrices(),
+    st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)), min_size=2, max_size=2),
+)
+def test_determinant_matches_cofactor_oracle_at_a_point(rows, pt):
+    det = determinant(PolyMatrix(rows))
+    assert det.evaluate(pt) == cofactor_det([[e.evaluate(pt) for e in row] for row in rows])
 
 
 def test_divide_exact_round_trip():
