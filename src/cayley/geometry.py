@@ -209,7 +209,9 @@ def hessian_determinant(f: Polynomial) -> Polynomial:
     n = f.n
     if n == 0:
         return Polynomial.constant(0, 1)
-    rows = [[f.diff(i).diff(j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    partials = [f.diff(i) for i in range(1, n + 1)]
+    upper = {(i, j): partials[i].diff(j + 1) for i in range(n) for j in range(i, n)}
+    rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
     return determinant(PolyMatrix(rows))
 
 

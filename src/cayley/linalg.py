@@ -89,10 +89,6 @@ def nullspace(rows: Rows, ncols: int | None = None) -> list[list[Fraction]]:
     return basis
 
 
-def identity(size: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0])
     return [

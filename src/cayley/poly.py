@@ -345,25 +345,6 @@ def weighted_degree_check(p: Polynomial, weights: Sequence[int], w: int) -> bool
     return True
 
 
-def substitute_affine(p: Polynomial, transform) -> Polynomial:
-    """Compose p with an affine map x_j -> sum_i x_i M[i][j] + v[j].
-
-    ``transform`` is any object with ``n``, ``matrix`` and ``translation``
-    attributes (see cayley.symmetry.AffineTransformation).
-    """
-    if transform.n != p.n:
-        raise ValueError(f"dimension mismatch: {transform.n} vs {p.n}")
-    n = p.n
-    images = []
-    for j in range(n):
-        terms: list[tuple[ExpsLike, Scalar]] = [
-            ({i + 1: 1}, transform.matrix[i][j]) for i in range(n)
-        ]
-        terms.append(({}, transform.translation[j]))
-        images.append(Polynomial(n, terms))
-    return p.substitute(images)
-
-
 # -- term rendering ---------------------------------------------------------
 
 

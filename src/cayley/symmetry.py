@@ -9,8 +9,10 @@ constant vector and the matrix ``linear`` are views read off them.  The
 bracket and the flow are computed with the derivation itself: [X, Y] has
 coefficients X(Y_j) - Y(X_j), and when the linear part is nilpotent the
 time-t flow is the finite Lie series x_j -> sum_k t^k/k! X^k(x_j), an
-affine map.  Transformations act on row vectors:
-(T x)_j = sum_i x_i M[i][j] + v[j].
+affine map.  An affine map is stored the same way, as the n images
+x_j -> T_j(x) of the coordinates, each of degree <= 1: it acts on a point
+by evaluation, on a polynomial p by p.substitute(T.images), and composes
+by substitution.
 
 For the commuting shift fields X_p of the Cayley family no matrix is
 needed: reading a point as the series 1 + x_1 s + ... + x_n s^n, the orbit
@@ -51,17 +53,6 @@ def _freeze_matrix(m: Sequence[Sequence[Scalar]], n: int, what: str) -> tuple[tu
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
-def _constant_terms(polys: Sequence[Polynomial]) -> tuple[Fraction, ...]:
-    return tuple(p.terms.get((), Fraction(0)) for p in polys)
-
-
-def _linear_terms(polys: Sequence[Polynomial], n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Entry [i][j] is the coefficient of x_(i+1) in polys[j]."""
-    return tuple(
-        tuple(p.terms.get(((i, 1),), Fraction(0)) for p in polys) for i in range(1, n + 1)
-    )
-
-
 @dataclass(frozen=True)
 class AffineVectorField:
     """A degree-<=1 vector field sum_j coefficients[j-1] d/dx_j."""
@@ -93,12 +84,15 @@ class AffineVectorField:
     @property
     def constant(self) -> tuple[Fraction, ...]:
         """constant[j] is the constant term of the coefficient of d/dx_(j+1)."""
-        return _constant_terms(self.coefficients)
+        return tuple(p.terms.get((), Fraction(0)) for p in self.coefficients)
 
     @property
     def linear(self) -> tuple[tuple[Fraction, ...], ...]:
         """linear[i][j] is the coefficient of x_(i+1) d/dx_(j+1)."""
-        return _linear_terms(self.coefficients, self.n)
+        return tuple(
+            tuple(p.terms.get(((i, 1),), Fraction(0)) for p in self.coefficients)
+            for i in range(1, self.n + 1)
+        )
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply the derivation to a polynomial."""
@@ -177,41 +171,42 @@ def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
 
 @dataclass(frozen=True)
 class AffineTransformation:
-    """An affine map acting on row vectors: x -> x M + v."""
+    """An affine map x_j -> images[j-1], given by n polynomials of degree <= 1 in n variables."""
 
-    n: int
-    matrix: tuple[tuple[Fraction, ...], ...]
-    translation: tuple[Fraction, ...]
+    images: tuple[Polynomial, ...]
 
-    def __init__(self, n: int, matrix: Sequence[Sequence[Scalar]], translation: Sequence[Scalar]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", _freeze_matrix(matrix, n, "matrix"))
-        object.__setattr__(self, "translation", _freeze_vector(translation, n, "translation"))
+    def __init__(self, images: Sequence[Polynomial]):
+        images = tuple(images)
+        if any(q.n != len(images) for q in images):
+            raise ValueError("an affine map needs n images in the same n variables")
+        if any(q.total_degree() > 1 for q in images):
+            raise ValueError("an affine map needs images of degree <= 1")
+        object.__setattr__(self, "images", images)
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
 
     @classmethod
     def identity(cls, n: int) -> "AffineTransformation":
-        return cls(n, linalg.identity(n), [0] * n)
+        return cls(variables(n))
 
     def apply(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        if len(point) != self.n:
-            raise ValueError(f"point has length {len(point)}, expected {self.n}")
-        moved = linalg.vec_mat([Fraction(x) for x in point], self.matrix)
-        return tuple(m + t for m, t in zip(moved, self.translation))
+        return tuple(q.evaluate(point) for q in self.images)
 
     def then(self, other: "AffineTransformation") -> "AffineTransformation":
         """The composite map: apply self first, then other."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        matrix = linalg.mat_mul(self.matrix, other.matrix)
-        translation = [
-            a + b for a, b in zip(linalg.vec_mat(self.translation, other.matrix), other.translation)
-        ]
-        return AffineTransformation(self.n, matrix, translation)
+        return AffineTransformation([q.substitute(self.images) for q in other.images])
 
     def inverse(self) -> "AffineTransformation":
-        inv = linalg.invert(self.matrix)
-        translation = [-t for t in linalg.vec_mat(self.translation, inv)]
-        return AffineTransformation(self.n, inv, translation)
+        """x -> M^-1 (x - c) for the map x -> M x + c; ValueError if M is singular."""
+        n, xs = self.n, variables(self.n)
+        rows = linalg.invert([[q.coefficient({i: 1}) for i in range(1, n + 1)] for q in self.images])
+        shifted = [x - Polynomial.constant(n, q.coefficient({})) for x, q in zip(xs, self.images)]
+        linear = [sum((x * v for x, v in zip(xs, row)), Polynomial.zero(n)) for row in rows]
+        return AffineTransformation([q.substitute(shifted) for q in linear])
 
 
 def exp_field(field: AffineVectorField, t: Scalar) -> AffineTransformation:
@@ -237,7 +232,7 @@ def exp_field(field: AffineVectorField, t: Scalar) -> AffineTransformation:
                 weight = weight * t / k
             image = image + term * weight
         images.append(image)
-    return AffineTransformation(n, _linear_terms(images, n), _constant_terms(images))
+    return AffineTransformation(images)
 
 
 def weight_scaling(n: int, lam: Scalar) -> AffineTransformation:
@@ -245,10 +240,7 @@ def weight_scaling(n: int, lam: Scalar) -> AffineTransformation:
     lam = Fraction(lam)
     if not lam:
         raise ValueError("scaling parameter must be nonzero")
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for h in range(n):
-        matrix[h][h] = lam ** (h + 1)
-    return AffineTransformation(n, matrix, [0] * n)
+    return AffineTransformation([x * lam**h for h, x in enumerate(variables(n), 1)])
 
 
 def _series_exp(a: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayley.generate import cayley_poly, family_poly, variant_surface_4
-from cayley.poly import Polynomial, substitute_affine
+from cayley.linalg import rank
+from cayley.poly import Polynomial, variables
 from cayley.symmetry import (
     AffineTransformation,
     AffineVectorField,
@@ -34,6 +35,15 @@ def rand_field(rng, n):
         n,
         [Fraction(rng.randint(-3, 3)) for _ in range(n)],
         [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)],
+    )
+
+
+def map_from_matrix(matrix, translation):
+    """The map x -> x M + v on row vectors, as its image polynomials."""
+    n = len(translation)
+    return AffineTransformation(
+        Polynomial(n, [({}, translation[j])] + [({i + 1: 1}, matrix[i][j]) for i in range(n)])
+        for j in range(n)
     )
 
 
@@ -152,7 +162,7 @@ def test_exp_field_matches_matrix_power_oracle():
             t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             matrix, translation = nilpotent_flow(constant, linear, t)
             flow = exp_field(AffineVectorField(n, constant, linear), t)
-            assert flow == AffineTransformation(n, matrix, translation)
+            assert flow == map_from_matrix(matrix, translation)
 
 
 def test_flow_invariance_of_polynomial():
@@ -161,7 +171,7 @@ def test_flow_invariance_of_polynomial():
         phi = cayley_poly(n)
         for field in cayley_fields(n):
             t = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            assert substitute_affine(phi, exp_field(field, t)) == phi
+            assert phi.substitute(exp_field(field, t).images) == phi
 
 
 def test_weight_scaling_rescales_polynomial():
@@ -169,7 +179,19 @@ def test_weight_scaling_rescales_polynomial():
     for n in range(2, 9):
         phi = cayley_poly(n)
         lam = Fraction(rng.randint(1, 7), rng.randint(1, 7))
-        assert substitute_affine(phi, weight_scaling(n, lam)) == phi * lam**n
+        assert phi.substitute(weight_scaling(n, lam).images) == phi * lam**n
+
+
+def test_affine_transformation_rejects_malformed_images():
+    x1, x2, x3 = variables(3)
+    with pytest.raises(ValueError, match="degree"):
+        AffineTransformation([x1 * x2, x2, x3])
+    # One image in another space; two images in 3-space.
+    for images in ([x1, x2, Polynomial.variable(2, 1)], [x1, x2]):
+        with pytest.raises(ValueError, match="variables"):
+            AffineTransformation(images)
+    with pytest.raises(ValueError, match="dimension"):
+        AffineTransformation.identity(2).then(AffineTransformation.identity(3))
 
 
 def test_orbit_point_examples():
@@ -365,10 +387,18 @@ def polynomials(draw, n):
 
 
 @st.composite
-def same_space(draw, count):
-    """count random fields and one random polynomial, all in n <= 4 variables."""
+def invertible_maps(draw, n):
+    row = st.lists(small_rationals, min_size=n, max_size=n)
+    matrix = draw(st.lists(row, min_size=n, max_size=n))
+    assume(rank(matrix) == n)
+    return map_from_matrix(matrix, draw(row))
+
+
+@st.composite
+def same_space(draw, count, of=fields):
+    """count objects drawn by of(n), fields by default, and one random polynomial, for one n <= 4."""
     n = draw(st.integers(1, 4))
-    return [draw(fields(n)) for _ in range(count)], draw(polynomials(n))
+    return [draw(of(n)) for _ in range(count)], draw(polynomials(n))
 
 
 property_settings = settings(derandomize=True, deadline=None, max_examples=60)
@@ -402,3 +432,26 @@ def test_field_round_trips_through_constant_and_linear(case):
     (x, y), _ = case
     for f in (x, commutator(x, y), x + y.scale(Fraction(-1, 2))):
         assert AffineVectorField(f.n, f.constant, f.linear) == f
+
+
+@property_settings
+@given(same_space(1, invertible_maps))
+def test_map_inverse_undoes_map(case):
+    (t,), p = case
+    assert t.then(t.inverse()) == AffineTransformation.identity(t.n) == t.inverse().then(t)
+    assert p.substitute(t.images).substitute(t.inverse().images) == p
+
+
+@property_settings
+@given(same_space(2, invertible_maps), st.data())
+def test_then_applies_first_map_first(case, data):
+    (t, u), _ = case
+    x = data.draw(st.lists(small_rationals, min_size=t.n, max_size=t.n))
+    assert t.then(u).apply(x) == u.apply(t.apply(x))
+
+
+@property_settings
+@given(same_space(2, invertible_maps))
+def test_pull_back_by_composite(case):
+    (t, u), p = case
+    assert p.substitute(t.then(u).images) == p.substitute(u.images).substitute(t.images)
