@@ -82,7 +82,7 @@ def _check_abelian(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
     fields = symmetry.cayley_fields(n)
     ok = True
     for i, x in enumerate(fields):
-        for y in fields[i:]:
+        for y in fields[i + 1 :]:
             if not symmetry.commutator(x, y).is_zero():
                 ok = False
     return ok, f"all pairwise commutators of the {n - 1} shift fields vanish"

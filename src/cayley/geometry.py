@@ -179,23 +179,29 @@ def pick_invariant(g: SymmetricTensor, a: SymmetricTensor) -> Fraction:
     """Full contraction of the cubic tensor with itself through the metric.
 
     Computes sum g_il g_jm g_kn a^{ijk} a^{lmn} over all ordered index
-    tuples, with g_.. the inverse metric.
+    tuples, with g_.. the inverse metric.  The sparse inverse metric is
+    applied to one slot of the ordered tensor at a time, rotating the slots
+    after each pass, so three passes give b^{lmn} = sum g_il g_jm g_kn a^{ijk},
+    and the invariant is the single dot product sum b^{lmn} a^{lmn}.
     """
     if g.order != 2 or a.order != 3:
         raise ValueError("need an order-2 metric and an order-3 tensor")
     if g.dim != a.dim:
         raise ValueError("dimension mismatch")
-    g_low = metric_inverse(g)
-    ordered = [
-        (triple, value)
-        for key, value in a.entries.items()
-        for triple in set(permutations(key))
-    ]
-    total = Fraction(0)
-    for (i, j, k), left in ordered:
-        for (l, m, n_), right in ordered:
-            total += left * right * g_low.get(i, l) * g_low.get(j, m) * g_low.get(k, n_)
-    return total
+    rows: dict[int, list[tuple[int, Fraction]]] = {}
+    for (i, j), value in metric_inverse(g).entries.items():
+        rows.setdefault(i, []).append((j, value))
+        if i != j:
+            rows.setdefault(j, []).append((i, value))
+    ordered = {triple: value for key, value in a.entries.items() for triple in permutations(key)}
+    contracted = ordered
+    for _ in range(3):
+        rotated: dict[IndexKey, Fraction] = {}
+        for (i, j, k), value in contracted.items():
+            for l, metric in rows.get(i, ()):
+                rotated[j, k, l] = rotated.get((j, k, l), 0) + metric * value
+        contracted = rotated
+    return sum((v * ordered[key] for key, v in contracted.items() if key in ordered), Fraction(0))
 
 
 def signature(g: SymmetricTensor) -> Signature:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Mono = tuple[tuple[int, int], ...]
@@ -272,21 +273,30 @@ class Polynomial:
         return Polynomial._raw(self.n, out)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point (one coordinate per variable)."""
+        """Exact value at a rational point (one coordinate per variable).
+
+        Each term is formed as an unreduced integer numerator and
+        denominator; the terms are brought to the lcm of their denominators
+        and the sum is reduced once, by a single Fraction at the end.
+        """
         if len(point) != self.n:
             raise ValueError(f"point has length {len(point)}, expected {self.n}")
         values = [Fraction(v) for v in point]
-        powers: dict[tuple[int, int], Fraction] = {}
-        total = _ZERO
+        powers: dict[tuple[int, int], tuple[int, int]] = {}
+        nums, dens = [], []
         for mono, coeff in self.terms.items():
-            term = coeff
-            for var, exp in mono:
-                key = (var, exp)
+            num, den = coeff.numerator, coeff.denominator
+            for key in mono:
                 if key not in powers:
-                    powers[key] = values[var - 1] ** exp
-                term *= powers[key]
-            total += term
-        return total
+                    value = values[key[0] - 1]
+                    powers[key] = (value.numerator ** key[1], value.denominator ** key[1])
+                pnum, pden = powers[key]
+                num *= pnum
+                den *= pden
+            nums.append(num)
+            dens.append(den)
+        common = lcm(*dens)
+        return Fraction(sum(num * (common // den) for num, den in zip(nums, dens)), common)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Compose: replace x_i by images[i-1].  All images must share a space."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from . import linalg
@@ -95,14 +96,25 @@ class AffineVectorField:
         )
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """Apply the derivation to a polynomial."""
+        """Apply the derivation: X p = sum_j X_j dp/dx_j.
+
+        One pass over the terms of p accumulates every product of a term of
+        dp/dx_j with a term of X_j into a single term map.
+        """
         if p.n != self.n:
             raise ValueError(f"dimension mismatch: field in {self.n}, polynomial in {p.n}")
-        result = Polynomial.zero(self.n)
-        for j, coefficient in enumerate(self.coefficients, 1):
-            if coefficient:
-                result = result + coefficient * p.diff(j)
-        return result
+        out: dict[Mono, Fraction] = {}
+        for mono, coeff in p.terms.items():
+            for k, (var, exp) in enumerate(mono):
+                factors = self.coefficients[var - 1].terms
+                if not factors:
+                    continue
+                rest = ((var, exp - 1),) if exp > 1 else ()
+                lowered = mono[:k] + rest + mono[k + 1 :]
+                for factor, value in factors.items():
+                    key = mono_mul(lowered, factor) if factor else lowered
+                    out[key] = out.get(key, 0) + coeff * exp * value
+        return Polynomial._raw(self.n, {m: c for m, c in out.items() if c})
 
     def flatten(self) -> list[Fraction]:
         """Coordinates (constant, then linear row-major) for rank computations."""
@@ -243,12 +255,29 @@ def weight_scaling(n: int, lam: Scalar) -> AffineTransformation:
     return AffineTransformation([x * lam**h for h, x in enumerate(variables(n), 1)])
 
 
-def _series_exp(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Coefficients 1..len(a) of exp(a_1 s + a_2 s^2 + ...), by k e_k = sum_j j a_j e_{k-j}."""
-    e = [Fraction(1)]
+def _series_exp(a: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """Coefficients 1..len(a) of exp(a_1 s + a_2 s^2 + ...), by k e_k = sum_j j a_j e_{k-j}.
+
+    The recurrence runs over the integers.  With L the lcm of the
+    denominators of the a_j, b_j = L a_j and e_k = E_k / (k! L^k), it reads
+    E_k = sum_j j b_j L^(j-1) (k-1)!/(k-j)! E_(k-j), and each e_k is reduced
+    once, at the end.
+    """
+    scale = lcm(*(x.denominator for x in a))
+    # weights[j - 1] = j b_j L^(j-1) does not depend on k.
+    weights = [j * x.numerator * (scale // x.denominator) * scale ** (j - 1)
+               for j, x in enumerate(a, 1)]
+    big, out, denominator = [1], [], 1
     for k in range(1, len(a) + 1):
-        e.append(sum(j * a[j - 1] * e[k - j] for j in range(1, k + 1)) / k)
-    return tuple(e[1:])
+        total, falling = 0, 1  # falling = (k-1)!/(k-j)!
+        for j in range(1, k + 1):
+            if weights[j - 1]:
+                total += weights[j - 1] * falling * big[k - j]
+            falling *= k - j
+        big.append(total)
+        denominator *= k * scale
+        out.append(Fraction(total, denominator))
+    return tuple(out)
 
 
 def _series_log1p(x: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -6,12 +6,17 @@ Gauss-Jordan instead of fraction-free elimination, cofactor expansion and
 plain Gaussian elimination at rational points instead of polynomial
 Bareiss, the pentagonal-number recurrence for partition counts, the
 literal composition sum for the defining polynomials, and matrix power
-sums for the flow of an affine field.
+sums for the flow of an affine field.  The literal kernels at the end
+compute by their definitions what the library computes by shortcuts:
+evaluation with a Fraction per product, the series exponential as the
+sum of the powers A^m/m!, a field applied as a sum of polynomial products,
+and the Pick invariant as a double sum over ordered index triples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Callable, Iterator
 
 
@@ -219,3 +224,75 @@ def nilpotent_flow(
         raise ValueError("linear part is not nilpotent")
     translation = [sum(constant[i] * shift[i][j] for i in range(n)) for j in range(n)]
     return matrix, translation
+
+
+# -- literal kernels ---------------------------------------------------------------
+
+
+def literal_evaluate(p, point) -> Fraction:
+    """p at a rational point, multiplying and adding one Fraction at a time."""
+    values = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        term = Fraction(coeff)
+        for var, exp in mono:
+            term *= values[var - 1] ** exp
+        total += term
+    return total
+
+
+def literal_series_exp(a) -> tuple[Fraction, ...]:
+    """Coefficients 1..N of sum_m A(s)^m / m! for A(s) = a_1 s + ... + a_N s^N, truncated at s^N.
+
+    A has no constant term, so A^m starts at s^m and m <= N suffices.
+    """
+    size = len(a) + 1
+    series = [Fraction(0)] + [Fraction(x) for x in a]
+    total = [Fraction(1)] + [Fraction(0)] * len(a)
+    power = total
+    for m in range(1, size):
+        power = [sum(power[i] * series[k - i] for i in range(k + 1)) / m for k in range(size)]
+        total = [x + y for x, y in zip(total, power)]
+    return tuple(total[1:])
+
+
+def literal_apply(field, p):
+    """X p = sum_j X_j * dp/dx_j, term by term through polynomial products."""
+    result = p * 0
+    for j, coefficient in enumerate(field.coefficients, 1):
+        result = result + coefficient * p.diff(j)
+    return result
+
+
+def inverse_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular matrix by plain Gauss-Jordan on [m | I]."""
+    size = len(m)
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(size):
+        pivot = next(i for i in range(col, size) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(size):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return [row[size:] for row in rows]
+
+
+def literal_pick(g, a) -> Fraction:
+    """sum g_il g_jm g_kn a^{ijk} a^{lmn} over every pair of ordered index triples.
+
+    g and a are an order-2 and an order-3 symmetric tensor; g_.. is the
+    inverse of g, taken by Gauss-Jordan.
+    """
+    indices = range(1, g.dim + 1)
+    g_low = inverse_matrix([[g.get(i, j) for j in indices] for i in indices])
+    ordered = [(t, value) for key, value in a.entries.items() for t in set(permutations(key))]
+    total = Fraction(0)
+    for (i, j, k), left in ordered:
+        for (l, m, n), right in ordered:
+            total += left * right * g_low[i - 1][l - 1] * g_low[j - 1][m - 1] * g_low[k - 1][n - 1]
+    return total

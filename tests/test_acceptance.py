@@ -83,7 +83,7 @@ def test_criterion_02_annihilating_fields():
 def test_criterion_03_abelian_transitive_orbits():
     def body():
         rng = random.Random(303)
-        for n in range(3, 11):
+        for n in range(3, 17):
             fields = cayley_fields(n)
             for i, x in enumerate(fields):
                 for y in fields[i:]:
@@ -97,7 +97,7 @@ def test_criterion_03_abelian_transitive_orbits():
                 point = orbit_point(n, t)
                 assert parameters_for_point(n, point[: n - 1]) == t
 
-    _criterion(3, "abelian fields; 100 orbit points per n lie on the surface", 30, body)
+    _criterion(3, "abelian fields; 100 orbit points per n lie on the surface, n = 3..16", 30, body)
 
 
 def test_criterion_04_one_dimensional_isotropy():
@@ -153,12 +153,12 @@ def test_criterion_06_ruling_and_split_signature():
 
 def test_criterion_07_vanishing_pick_invariant():
     def body():
-        for n in range(3, 13):
+        for n in range(3, 21):
             assert pick_invariant(indicator_tensor(n, 2), indicator_tensor(n, 3)) == 0
             f = graph_function(n)
             assert pick_invariant(taylor_tensor(f, 2), taylor_tensor(f, 3)) == 0
 
-    _criterion(7, "Pick invariant vanishes, n = 3..12", 5, body)
+    _criterion(7, "Pick invariant vanishes, n = 3..20", 5, body)
 
 
 def test_criterion_08_interpolating_family():

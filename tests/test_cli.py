@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -24,9 +25,21 @@ GOLDEN_LATEX = {
 }
 
 
+# sha256 of the stdout of `verify --n 3..12 --checks all`, recorded before
+# evaluate, the series exp, apply and pick_invariant moved to their faster
+# exact kernels; it pins the report byte for byte.
+VERIFY_3_12_SHA256 = "de0282af68960a134614d4f898aae3f661de690b77c28d284858d4a449eaf8fb"
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr().out
+
+
+def test_verify_all_checks_stdout_is_pinned(capsys):
+    code, out = run(capsys, ["verify", "--n", "3..12", "--checks", "all"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_3_12_SHA256
 
 
 def test_generate_plain_golden(capsys):

@@ -4,6 +4,8 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley.generate import (
     cayley_poly,
@@ -161,6 +163,12 @@ def test_coefficient_closed_form_bad_partition():
 def test_family_reduces_to_cayley_at_zero():
     for n in range(1, 11):
         assert family_poly(n, 0) == cayley_poly(n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(1, 16), st.sampled_from([0, Fraction(0), Fraction(0, 7)]))
+def test_family_at_zero_is_cayley_property(n, b):
+    assert family_poly(n, b) == cayley_poly(n)
 
 
 def test_family_routes_agree():

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from cayley.generate import cayley_poly, graph_function, variant_surface_4
+from cayley.generate import cayley_poly, family_poly, graph_function, variant_surface_4
 from cayley.geometry import (
     Signature,
     SymmetricTensor,
@@ -21,6 +21,8 @@ from cayley.geometry import (
 )
 from cayley.linalg import inertia
 from cayley.poly import Polynomial
+
+from oracles import literal_pick
 
 # Frozen from an independent symbolic computation of det Hess of the graph
 # functions (cross-checked again by cofactor evaluation in test_poly).
@@ -167,6 +169,54 @@ def test_pick_invariant_single_entry():
     g = SymmetricTensor(2, 2, {(1, 1): 1, (2, 2): 1})
     a = SymmetricTensor(3, 2, {(1, 1, 1): 1})
     assert pick_invariant(g, a) == 1
+
+
+def rand_metric(rng, dim):
+    """A random nondegenerate symmetric metric with a nonzero off-diagonal entry."""
+    while True:
+        g = SymmetricTensor(
+            2,
+            dim,
+            {
+                (i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for i in range(1, dim + 1)
+                for j in range(i, dim + 1)
+            },
+        )
+        if any(i != j for i, j in g.entries) and inertia(g.as_matrix())[2] == 0:
+            return g
+
+
+def rand_cubic(rng, dim, density=0.4):
+    keys = combinations_with_replacement(range(1, dim + 1), 3)
+    entries = {key: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for key in keys}
+    return SymmetricTensor(3, dim, {key: v for key, v in entries.items() if rng.random() < density})
+
+
+def test_pick_invariant_matches_literal_oracle_on_random_tensors():
+    rng = random.Random(32)
+    values = []
+    for _ in range(30):
+        dim = rng.randint(2, 6)
+        g, a = rand_metric(rng, dim), rand_cubic(rng, dim)
+        values.append(pick_invariant(g, a))
+        assert values[-1] == literal_pick(g, a)
+    assert sum(1 for v in values if v) > 20
+
+
+def test_pick_invariant_matches_literal_oracle_on_the_family():
+    rng = random.Random(33)
+    for n in range(3, 9):
+        assert pick_invariant(indicator_tensor(n, 2), indicator_tensor(n, 3)) == literal_pick(
+            indicator_tensor(n, 2), indicator_tensor(n, 3)
+        )
+        for b in (0, 1, Fraction(1, 2), Fraction(-7, 3)):
+            f = graph_of(family_poly(n, b), n)
+            g, a = taylor_tensor(f, 2), taylor_tensor(f, 3)
+            assert pick_invariant(g, a) == literal_pick(g, a)
+            # The family's anti-diagonal metric against a random cubic, which need not give 0.
+            cubic = rand_cubic(rng, n - 1)
+            assert pick_invariant(g, cubic) == literal_pick(g, cubic)
 
 
 def test_signature_split_by_parity():

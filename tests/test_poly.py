@@ -20,7 +20,7 @@ from cayley.poly import (
 from cayley.generate import cayley_poly, family_poly, graph_function, graph_of
 from cayley.symmetry import AffineTransformation, cayley_fields, exp_field
 
-from oracles import cofactor_det, scalar_det
+from oracles import cofactor_det, literal_evaluate, scalar_det
 
 
 def rand_poly(rng, n=3, max_degree=3, max_terms=4):
@@ -162,6 +162,41 @@ def test_evaluate_origin():
 def test_evaluate_graph_point():
     # x4 = x1 x3 + x2^2/2 - x1^2 x2 + x1^4/4 gives x4 = 1/4 at (1, 0, 0).
     assert cayley_poly(4).evaluate([1, 0, 0, Fraction(1, 4)]) == 0
+
+
+def rand_mixed_point(rng, n):
+    """Coordinates mixing zeros, integers and negative and positive fractions."""
+    draws = (
+        lambda: 0,
+        lambda: rng.randint(-7, 7),
+        lambda: Fraction(-rng.randint(1, 9), rng.randint(2, 9)),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+    )
+    return [rng.choice(draws)() for _ in range(n)]
+
+
+def test_evaluate_matches_literal_oracle():
+    rng = random.Random(44)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        p = rand_poly(rng, n, max_degree=rng.randint(0, 6), max_terms=8)
+        point = rand_mixed_point(rng, n)
+        assert p.evaluate(point) == literal_evaluate(p, point)
+    for n in range(2, 13):
+        phi = family_poly(n, Fraction(-7, 3))
+        for _ in range(5):
+            point = rand_mixed_point(rng, n)
+            assert phi.evaluate(point) == literal_evaluate(phi, point)
+
+
+def test_evaluate_zero_polynomial_and_constants():
+    assert Polynomial.zero(3).evaluate([Fraction(-1, 2), 0, 5]) == 0
+    assert Polynomial.zero(0).evaluate([]) == 0
+    assert Polynomial.constant(0, Fraction(-3, 7)).evaluate([]) == Fraction(-3, 7)
+    assert Polynomial.constant(2, 4).evaluate([Fraction(1, 3), -1]) == 4
+    half_sum = Polynomial(2, [({1: 1}, Fraction(1, 2)), ({2: 1}, Fraction(1, 2))])
+    value = half_sum.evaluate([Fraction(1, 3), Fraction(2, 3)])
+    assert value == Fraction(1, 2) and isinstance(value, Fraction)
 
 
 def test_evaluate_length_mismatch():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cayley.generate import cayley_poly, family_poly, variant_surface_4
@@ -26,8 +26,16 @@ from cayley.symmetry import (
     symmetry_algebra,
     weight_scaling,
 )
+from cayley.symmetry import _series_exp, _series_log1p
 
-from oracles import all_exponents, dense_eigen_dimension, nilpotent_flow, rref_nullity
+from oracles import (
+    all_exponents,
+    dense_eigen_dimension,
+    literal_apply,
+    literal_series_exp,
+    nilpotent_flow,
+    rref_nullity,
+)
 
 
 def rand_field(rng, n):
@@ -88,6 +96,38 @@ def test_graph_direction_derivative():
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         euler_field(3).apply(cayley_poly(4))
+
+
+def rand_affine_field(rng, n):
+    """A field with rational entries, about a third of them zero, and a nonzero constant part."""
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.67 else 0
+
+    constant = [entry() for _ in range(n)]
+    constant[rng.randrange(n)] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    return AffineVectorField(n, constant, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+def rand_sparse_poly(rng, n, max_degree=4, max_terms=6):
+    terms = []
+    for _ in range(rng.randint(0, max_terms)):
+        used = rng.sample(range(1, n + 1), rng.randint(0, n))
+        exps = {v: rng.randint(0, max_degree) for v in used}
+        terms.append((exps, Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+    return Polynomial(n, terms)
+
+
+def test_apply_matches_literal_oracle():
+    rng = random.Random(45)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        field, p = rand_affine_field(rng, n), rand_sparse_poly(rng, n)
+        assert field.apply(p) == literal_apply(field, p)
+    for n in range(3, 9):
+        phi = family_poly(n, Fraction(1, 2))
+        for field in cayley_fields(n) + [euler_field(n), rand_affine_field(rng, n)]:
+            assert field.apply(phi) == literal_apply(field, phi)
 
 
 def test_commutators_vanish_pairwise():
@@ -217,6 +257,15 @@ def test_orbit_point_matches_exponential():
         for tp, field in zip(t, fields):
             combined = combined + field.scale(tp)
         assert exp_field(combined, 1).apply([0] * n) == orbit_point(n, t)
+
+
+def test_series_exp_matches_literal_oracle():
+    rng = random.Random(46)
+    for size in range(0, 13):
+        for _ in range(5):
+            a = [rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+                 for _ in range(size)]
+            assert _series_exp(a) == literal_series_exp(a)
 
 
 def test_parameters_for_point_examples():
@@ -455,3 +504,24 @@ def test_then_applies_first_map_first(case, data):
 def test_pull_back_by_composite(case):
     (t, u), p = case
     assert p.substitute(t.then(u).images) == p.substitute(u.images).substitute(t.images)
+
+
+series_entries = st.one_of(small_rationals, st.integers(-5, 5))
+
+
+@property_settings
+@given(st.lists(series_entries, max_size=12))
+@example([])
+@example([0, 0, 0, 0, 0])
+@example([3, -2, 0, 7])
+def test_series_log1p_inverts_series_exp(a):
+    assert _series_log1p(_series_exp(a)) == tuple(a)
+
+
+@property_settings
+@given(st.integers(1, 11).flatmap(lambda k: st.lists(series_entries, min_size=k, max_size=k)))
+def test_orbit_parameter_round_trip(t):
+    n = len(t) + 1
+    point = orbit_point(n, t)
+    assert cayley_poly(n).evaluate(point) == 0
+    assert parameters_for_point(n, point[: n - 1]) == tuple(t)
