@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -60,13 +59,8 @@ def _n_range(text: str) -> range:
 
 
 def _guard_n(parser: argparse.ArgumentParser, worst: int, force: bool) -> None:
-    text = os.environ.get("CAYLEY_MAX_N", str(DEFAULT_MAX_N))
-    try:
-        limit = int(text)
-    except ValueError:
-        parser.error(f"CAYLEY_MAX_N must be an integer, got {text!r}")
-    if worst > limit and not force:
-        parser.error(f"n={worst} exceeds the guard ({limit}); pass --force or set CAYLEY_MAX_N")
+    if worst > DEFAULT_MAX_N and not force:
+        parser.error(f"n={worst} exceeds the guard ({DEFAULT_MAX_N}); pass --force")
 
 
 # -- check implementations ---------------------------------------------------
@@ -219,13 +213,9 @@ def _cmd_generate(parser, args) -> int:
     _guard_n(parser, n, args.force)
     if args.format == "json":
         print(json.dumps(poly_to_json_dict(phi), indent=2))
-    elif args.format == "latex":
-        f = geometry.graph_of(phi, n)
-        index = str(n) if n < 10 else "{" + str(n) + "}"
-        print(f"x_{index} = {format_latex(f)}")
     else:
-        f = geometry.graph_of(phi, n)
-        print(f"x{n} = {format_plain(f)}")
+        render = format_latex if args.format == "latex" else format_plain
+        print(f"{render(Polynomial.variable(n, n))} = {render(geometry.graph_of(phi, n))}")
     return 0
 
 

@@ -17,7 +17,7 @@ Pick computations are run over both in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .generate import cayley_poly, graph_of, partitions
-from .poly import Polynomial, PolyMatrix, determinant
+from .poly import Polynomial, PolyMatrix, _collect, determinant
 
 Scalar = Union[int, Fraction]
 IndexKey = tuple[int, ...]
@@ -46,7 +46,7 @@ class SymmetricTensor:
 
     order: int
     dim: int
-    entries: Mapping[IndexKey, Fraction] = field(default_factory=dict)
+    entries: Mapping[IndexKey, Fraction]
 
     def __init__(self, order: int, dim: int, entries: Mapping[IndexKey, Scalar] | None = None):
         if order < 0 or dim < 0:
@@ -66,15 +66,6 @@ class SymmetricTensor:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymmetricTensor):
-            return NotImplemented
-        return (self.order, self.dim, dict(self.entries)) == (
-            other.order,
-            other.dim,
-            dict(other.entries),
-        )
 
     def as_matrix(self) -> list[list[Fraction]]:
         if self.order != 2:
@@ -149,19 +140,14 @@ def trace(tensor: SymmetricTensor, g_inv: SymmetricTensor) -> SymmetricTensor:
         raise ValueError("metric must have order 2")
     if tensor.dim != g_inv.dim:
         raise ValueError("dimension mismatch")
-    out: dict[IndexKey, Fraction] = {}
+    products = []
     for (i, j), g_val in g_inv.entries.items():
         weight = g_val if i == j else 2 * g_val
         for key, t_val in tensor.entries.items():
             remainder = _remove_pair(key, i, j)
-            if remainder is None:
-                continue
-            c = out.get(remainder, Fraction(0)) + weight * t_val
-            if c:
-                out[remainder] = c
-            elif remainder in out:
-                del out[remainder]
-    return SymmetricTensor(tensor.order - 2, tensor.dim, out)
+            if remainder is not None:
+                products.append((remainder, weight * t_val))
+    return SymmetricTensor(tensor.order - 2, tensor.dim, _collect(products))
 
 
 def _remove_pair(key: IndexKey, i: int, j: int) -> IndexKey | None:

@@ -20,10 +20,11 @@ written, so rendered output is byte-stable.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 Mono = tuple[tuple[int, int], ...]
 Scalar = Union[int, Fraction]
@@ -45,6 +46,17 @@ def _normalize_exps(exps: ExpsLike, n: int) -> Mono:
         if exp:
             merged[var] = merged.get(var, 0) + exp
     return tuple(sorted(merged.items()))
+
+
+def _collect(pairs: Iterable[tuple[Hashable, Fraction]]) -> dict:
+    """Sum the coefficients of equal keys and drop the keys that sum to zero."""
+    out: dict = {}
+    for key, coeff in pairs:
+        if key in out:
+            out[key] += coeff
+        else:
+            out[key] = coeff  # stored as given: no Fraction addition for a new key
+    return {key: c for key, c in out.items() if c}
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -93,15 +105,8 @@ class Polynomial:
         if n < 0:
             raise ValueError("ambient dimension must be nonnegative")
         object.__setattr__(self, "n", n)
-        acc: dict[Mono, Fraction] = {}
-        for exps, coeff in terms:
-            mono = _normalize_exps(exps, n)
-            c = acc.get(mono, _ZERO) + Fraction(coeff)
-            if c:
-                acc[mono] = c
-            elif mono in acc:
-                del acc[mono]
-        object.__setattr__(self, "terms", acc)
+        pairs = ((_normalize_exps(exps, n), Fraction(coeff)) for exps, coeff in terms)
+        object.__setattr__(self, "terms", _collect(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -180,31 +185,23 @@ class Polynomial:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _merge(self, other, op: Callable[[Fraction, Fraction], Fraction]) -> "Polynomial":
+        """Fold other's terms into a copy of self's with op (add or sub)."""
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_space(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            c = out.get(mono, _ZERO) + coeff
+            c = op(out.pop(mono, _ZERO), coeff)
             if c:
                 out[mono] = c
-            elif mono in out:
-                del out[mono]
         return Polynomial._raw(self.n, out)
 
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._merge(other, operator.add)
+
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._require_same_space(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = out.get(mono, _ZERO) - coeff
-            if c:
-                out[mono] = c
-            elif mono in out:
-                del out[mono]
-        return Polynomial._raw(self.n, out)
+        return self._merge(other, operator.sub)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self.n, {m: -c for m, c in self.terms.items()})
@@ -218,16 +215,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_space(other)
-        out: dict[Mono, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = mono_mul(ma, mb)
-                c = out.get(mono, _ZERO) + ca * cb
-                if c:
-                    out[mono] = c
-                elif mono in out:
-                    del out[mono]
-        return Polynomial._raw(self.n, out)
+        products = (
+            (mono_mul(ma, mb), ca * cb)
+            for ma, ca in self.terms.items()
+            for mb, cb in other.terms.items()
+        )
+        return Polynomial._raw(self.n, _collect(products))
 
     __rmul__ = __mul__
 
@@ -251,25 +244,20 @@ class Polynomial:
     # -- calculus and substitution -----------------------------------------
 
     def diff(self, index: int) -> "Polynomial":
-        """Exact partial derivative with respect to x_index."""
+        """Exact partial derivative with respect to x_index.
+
+        Lowering one exponent maps distinct monomials to distinct monomials,
+        so every term gives its own term and nothing is summed.
+        """
         if not 1 <= index <= self.n:
             raise ValueError(f"variable index {index} out of range 1..{self.n}")
         out: dict[Mono, Fraction] = {}
         for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(index, 0)
-            if not e:
-                continue
-            if e == 1:
-                del exps[index]
-            else:
-                exps[index] = e - 1
-            key = tuple(sorted(exps.items()))
-            c = out.get(key, _ZERO) + coeff * e
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
+            for k, (var, exp) in enumerate(mono):
+                if var == index:
+                    rest = ((var, exp - 1),) if exp > 1 else ()
+                    out[mono[:k] + rest + mono[k + 1 :]] = coeff * exp
+                    break
         return Polynomial._raw(self.n, out)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
@@ -309,16 +297,15 @@ class Polynomial:
             if q.n != m:
                 raise ValueError("images live in different spaces")
         powers: dict[tuple[int, int], Polynomial] = {}
-        result = Polynomial.zero(m)
+        products: list[tuple[Mono, Fraction]] = []
         for mono, coeff in self.terms.items():
             term = Polynomial.constant(m, coeff)
-            for var, exp in mono:
-                key = (var, exp)
+            for key in mono:
                 if key not in powers:
-                    powers[key] = images[var - 1] ** exp
+                    powers[key] = images[key[0] - 1] ** key[1]
                 term = term * powers[key]
-            result = result + term
-        return result
+            products.extend(term.terms.items())
+        return Polynomial._raw(m, _collect(products))
 
     def extend(self, n_new: int) -> "Polynomial":
         """Reinterpret in a larger ambient space (same terms)."""
@@ -358,44 +345,33 @@ def weighted_degree_check(p: Polynomial, weights: Sequence[int], w: int) -> bool
 # -- term rendering ---------------------------------------------------------
 
 
-def _plain_mono(mono: Mono) -> str:
-    parts = [f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in mono]
-    return "*".join(parts)
+def _render(p: Polynomial, var: str, index: Callable[[int], str], coeff_text: Callable[[Fraction], str],
+            times: str, plus: str, minus: str) -> str:
+    """The terms of p in canonical order, the one loop behind both formats.
+
+    A monomial is its factors var+index(v), with ^index(e) when e > 1, joined
+    by times, which also joins a coefficient to its monomial; a coefficient of
+    magnitude 1 is left out there.  Terms are joined by plus or minus, the
+    first carries only a bare "-" when negative, and the zero polynomial is "0".
+    """
+    pieces = []
+    for mono, coeff in p.sorted_terms():
+        factors = [var + index(v) + (f"^{index(e)}" if e > 1 else "") for v, e in mono]
+        mag = abs(coeff)
+        if mag != 1 or not mono:
+            factors.insert(0, coeff_text(mag))
+        sign = (plus if coeff > 0 else minus) if pieces else ("" if coeff > 0 else "-")
+        pieces.append(sign + times.join(factors))
+    return "".join(pieces) or "0"
 
 
 def format_plain(p: Polynomial) -> str:
     """Deterministic plain-text form, e.g. ``x1*x2 - 1/3*x1^3``."""
-    terms = p.sorted_terms()
-    if not terms:
-        return "0"
-    pieces = []
-    for i, (mono, coeff) in enumerate(terms):
-        mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = _plain_mono(mono)
-        else:
-            body = f"{mag}*{_plain_mono(mono)}"
-        if i == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(pieces)
+    return _render(p, "x", str, str, "*", " + ", " - ")
 
 
 def _latex_index(k: int) -> str:
     return str(k) if k < 10 else "{" + str(k) + "}"
-
-
-def _latex_mono(mono: Mono) -> str:
-    parts = []
-    for v, e in mono:
-        if e == 1:
-            parts.append(f"x_{_latex_index(v)}")
-        else:
-            parts.append(f"x_{_latex_index(v)}^{_latex_index(e)}")
-    return "".join(parts)
 
 
 def _latex_coeff(mag: Fraction) -> str:
@@ -406,21 +382,7 @@ def _latex_coeff(mag: Fraction) -> str:
 
 def format_latex(p: Polynomial) -> str:
     """Deterministic LaTeX form, e.g. ``x_1x_2-\\frac{1}{3}x_1^3``."""
-    terms = p.sorted_terms()
-    if not terms:
-        return "0"
-    pieces = []
-    for i, (mono, coeff) in enumerate(terms):
-        mag = abs(coeff)
-        if not mono:
-            body = _latex_coeff(mag)
-        elif mag == 1:
-            body = _latex_mono(mono)
-        else:
-            body = _latex_coeff(mag) + _latex_mono(mono)
-        sign = "-" if coeff < 0 else ("" if i == 0 else "+")
-        pieces.append(sign + body)
-    return "".join(pieces)
+    return _render(p, "x_", _latex_index, _latex_coeff, "", "+", "-")
 
 
 # -- JSON serialization -----------------------------------------------------

@@ -30,6 +30,17 @@ GOLDEN_LATEX = {
 # exact kernels; it pins the report byte for byte.
 VERIFY_3_12_SHA256 = "de0282af68960a134614d4f898aae3f661de690b77c28d284858d4a449eaf8fb"
 
+# sha256 of the stdout of `generate` in each format, concatenated over
+# --n 3..14, then `--n 8 --b=-7/3`, then `--variant`, recorded before plain
+# and LaTeX rendering moved to one shared loop; they pin the output byte for byte.
+GENERATE_SHA256 = {
+    "plain": "1a57d4c5c22111883418465c8b9502aef87e015b65e4e9fb00862c3a1c7991fb",
+    "latex": "12de73feaf59337d4a2d5e7d782ca994eea04952de9b34c18989de4bdbf1d1c0",
+    "json": "6585f85b4d797446e735987697096d725f88260e89f39b150a2d8d47de6f9cc7",
+}
+GENERATE_PINNED_CASES = [["--n", str(n)] for n in range(3, 15)]
+GENERATE_PINNED_CASES += [["--n", "8", "--b=-7/3"], ["--variant"]]
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -40,6 +51,16 @@ def test_verify_all_checks_stdout_is_pinned(capsys):
     code, out = run(capsys, ["verify", "--n", "3..12", "--checks", "all"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_3_12_SHA256
+
+
+@pytest.mark.parametrize("fmt", sorted(GENERATE_SHA256))
+def test_generate_stdout_is_pinned(capsys, fmt):
+    outputs = []
+    for case in GENERATE_PINNED_CASES:
+        code, out = run(capsys, ["generate", *case, "--format", fmt])
+        assert code == 0
+        outputs.append(out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == GENERATE_SHA256[fmt]
 
 
 def test_generate_plain_golden(capsys):
@@ -179,8 +200,7 @@ def test_verify_is_deterministic(capsys):
     assert first == second
 
 
-def test_large_n_guard(capsys, monkeypatch):
-    monkeypatch.delenv("CAYLEY_MAX_N", raising=False)
+def test_large_n_guard(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["generate", "--n", "21"])
     assert exc.value.code == 2
@@ -190,23 +210,7 @@ def test_large_n_guard(capsys, monkeypatch):
     assert out.startswith("x21 = ")
 
 
-def test_large_n_guard_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CAYLEY_MAX_N", "22")
-    code, out = run(capsys, ["generate", "--n", "22"])
-    assert code == 0
-    assert out.startswith("x22 = ")
-
-
-def test_large_n_guard_rejects_non_integer_env(capsys, monkeypatch):
-    monkeypatch.setenv("CAYLEY_MAX_N", "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["generate", "--n", "3"])
-    assert exc.value.code == 2
-    assert "CAYLEY_MAX_N must be an integer" in capsys.readouterr().err
-
-
-def test_symmetries_file_is_guarded(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("CAYLEY_MAX_N", raising=False)
+def test_symmetries_file_is_guarded(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(poly_to_json_dict(Polynomial(21, [({21: 1}, -1), ({1: 2}, 1)]))))
     with pytest.raises(SystemExit) as exc:
@@ -215,9 +219,8 @@ def test_symmetries_file_is_guarded(capsys, tmp_path, monkeypatch):
     assert "exceeds the guard" in capsys.readouterr().err
 
 
-def test_huge_verify_range_is_guarded_before_it_is_built(capsys, monkeypatch):
+def test_huge_verify_range_is_guarded_before_it_is_built(capsys):
     # Exit 2 with the guard message, not a MemoryError from listing 10^12 dimensions.
-    monkeypatch.delenv("CAYLEY_MAX_N", raising=False)
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--n", "3..1000000000000"])
     assert exc.value.code == 2

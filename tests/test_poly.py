@@ -20,7 +20,7 @@ from cayley.poly import (
 from cayley.generate import cayley_poly, family_poly, graph_function, graph_of
 from cayley.symmetry import AffineTransformation, cayley_fields, exp_field
 
-from oracles import cofactor_det, literal_evaluate, scalar_det
+from oracles import cofactor_det, dense_diff, dense_from_sparse, literal_evaluate, scalar_det
 
 
 def rand_poly(rng, n=3, max_degree=3, max_terms=4):
@@ -332,16 +332,16 @@ def _poly_matrices(min_size=1, max_size=4):
     )
 
 
-det_settings = settings(derandomize=True, deadline=None)
+property_settings = settings(derandomize=True, deadline=None)
 
 
-@det_settings
+@property_settings
 @given(_poly_matrices())
 def test_determinant_of_transpose(rows):
     assert determinant(PolyMatrix([list(col) for col in zip(*rows)])) == determinant(PolyMatrix(rows))
 
 
-@det_settings
+@property_settings
 @given(_poly_matrices(min_size=2), st.data())
 def test_determinant_changes_sign_under_row_and_column_swaps(rows, data):
     i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
@@ -355,7 +355,7 @@ def test_determinant_changes_sign_under_row_and_column_swaps(rows, data):
     assert determinant(PolyMatrix(swapped_cols)) == -det
 
 
-@det_settings
+@property_settings
 @given(
     _poly_matrices(),
     st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)), min_size=2, max_size=2),
@@ -429,6 +429,31 @@ def test_json_accepts_integers_and_integer_strings():
     assert poly_from_json_dict(data) == Polynomial(2, [({2: 3}, Fraction(-2, 3))])
 
 
+@pytest.mark.parametrize(
+    "p, plain, latex",
+    [
+        (Polynomial.zero(3), "0", "0"),
+        (Polynomial.constant(2, Fraction(-3, 4)), "-3/4", r"-\frac{3}{4}"),
+        (Polynomial.constant(2, 1), "1", "1"),
+        (Polynomial.constant(2, -1), "-1", "-1"),
+        (Polynomial(2, [({1: 1}, -2), ({2: 2}, 1)]), "-2*x1 + x2^2", "-2x_1+x_2^2"),
+        (Polynomial(2, [({1: 1}, 1), ({1: 1, 2: 1}, -1)]), "x1 - x1*x2", "x_1-x_1x_2"),
+        (Polynomial(2, [({1: 1}, -1), ({}, Fraction(1, 2))]), "1/2 - x1", r"\frac{1}{2}-x_1"),
+        (
+            Polynomial(10, [({10: 1}, 1), ({10: 2, 3: 1}, Fraction(-5, 7))]),
+            "x10 - 5/7*x3*x10^2",
+            r"x_{10}-\frac{5}{7}x_3x_{10}^2",
+        ),
+        (Polynomial(12, [({10: 10}, -1)]), "-x10^10", "-x_{10}^{10}"),
+    ],
+    ids=["zero", "negative constant", "one", "minus one", "negative leading term",
+         "coefficient -1", "constant first", "x10", "x10 power"],
+)
+def test_rendering_edge_cases(p, plain, latex):
+    assert format_plain(p) == plain
+    assert format_latex(p) == latex
+
+
 def test_plain_and_latex_rendering():
     f3 = graph_function(3)
     assert format_plain(f3) == "x1*x2 - 1/3*x1^3"
@@ -449,3 +474,117 @@ def test_extend_and_restrict():
     assert embedded + Polynomial.monomial(4, {4: 1}, -1) == cayley_poly(4)
     with pytest.raises(ValueError):
         cayley_poly(4).restrict(3)
+
+
+# -- kernels against oracles on seeded random sparse inputs -------------------
+
+
+def sparse_poly(rng, n, absent, max_terms=5):
+    """Random terms in x1..xn without x_absent, exponents 1..3 on a few variables."""
+    present = [v for v in range(1, n + 1) if v != absent]
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        chosen = rng.sample(present, rng.randint(0, min(3, len(present))))
+        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        terms.append(({v: rng.randint(1, 3) for v in chosen}, coeff))
+    return Polynomial(n, terms)
+
+
+def sparse_cases(seed, count=30):
+    """The zero polynomial, then random sparse polynomials in 2..5 variables."""
+    rng = random.Random(seed)
+    cases = [Polynomial.zero(3)]
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        cases.append(sparse_poly(rng, n, absent=rng.randint(1, n)))
+    exponents = {e for p in cases for mono in p.terms for _, e in mono}
+    assert 1 in exponents and max(exponents) > 1
+    return rng, cases
+
+
+def test_diff_matches_dense_oracle():
+    _, cases = sparse_cases(20)
+    for p in cases:
+        for j in range(1, p.n + 1):
+            assert dense_from_sparse(p.diff(j)) == dense_diff(dense_from_sparse(p), j)
+
+
+def test_mul_matches_literal_evaluation():
+    rng, cases = sparse_cases(21)
+    for p in cases:
+        q = sparse_poly(rng, p.n, absent=rng.randint(1, p.n))
+        for _ in range(3):
+            x = rand_point(rng, p.n)
+            assert literal_evaluate(p * q, x) == literal_evaluate(p, x) * literal_evaluate(q, x)
+
+
+def test_substitute_matches_literal_evaluation():
+    rng, cases = sparse_cases(22)
+    for p in cases:
+        m = rng.randint(1, 4)
+        images = [sparse_poly(rng, m, absent=0, max_terms=3) for _ in range(p.n)]
+        for _ in range(3):
+            x = rand_point(rng, m)
+            inner = [literal_evaluate(q, x) for q in images]
+            assert literal_evaluate(p.substitute(images), x) == literal_evaluate(p, inner)
+
+
+def test_constructor_sums_repeated_and_drops_cancelled_monomials():
+    # x1 cancels, x2*x2 (given as two factors) adds to x2^2, and 0 is dropped.
+    terms = [({1: 1}, 1), ({1: 1}, -1), ([(2, 1), (2, 1)], 3), ({2: 2}, -1), ({}, 0)]
+    p = Polynomial(2, terms + [({1: 1, 2: 1}, Fraction(1, 2))])
+    assert p.terms == {((2, 2),): Fraction(2), ((1, 1), (2, 1)): Fraction(1, 2)}
+    rng = random.Random(23)
+    for _ in range(30):
+        monos = [{v: rng.randint(0, 2) for v in (1, 2)} for _ in range(3)]
+        terms = [(rng.choice(monos), Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(8)]
+        expected = {}
+        for exps, coeff in terms:
+            key = tuple((v, e) for v, e in sorted(exps.items()) if e)
+            expected[key] = expected.get(key, Fraction(0)) + coeff
+        assert Polynomial(2, terms).terms == {k: c for k, c in expected.items() if c}
+
+
+# -- ring axioms, Leibniz and JSON as properties ------------------------------
+
+
+def polynomials(n):
+    """Sparse polynomials in n variables: up to 4 terms, exponents 0..3, maybe zero."""
+    exps = st.dictionaries(st.integers(1, n), st.integers(0, 3), max_size=n)
+    coeffs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    return st.lists(st.tuples(exps, coeffs), max_size=4).map(lambda terms: Polynomial(n, terms))
+
+
+def same_space(count):
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(*[polynomials(n)] * count))
+
+
+@property_settings
+@given(same_space(3))
+def test_ring_axioms(case):
+    a, b, c = case
+    zero = Polynomial.zero(a.n)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) * c == a * c - b * c
+    assert a - a == zero
+    assert a + zero == a == a - zero
+    assert a - b == -(b - a)
+
+
+@property_settings
+@given(same_space(2), st.data())
+def test_diff_obeys_leibniz(case, data):
+    p, q = case
+    j = data.draw(st.integers(1, p.n))
+    assert (p * q).diff(j) == p.diff(j) * q + p * q.diff(j)
+    assert (p - q).diff(j) == p.diff(j) - q.diff(j)
+
+
+@property_settings
+@given(st.integers(1, 3).flatmap(polynomials))
+def test_json_round_trip_property(p):
+    assert poly_from_json_dict(json.loads(json.dumps(poly_to_json_dict(p)))) == p
