@@ -97,13 +97,13 @@ def _check_isotropy(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
     return ok, f"linear isotropy dimension {iso.dimension} (expected 1, spanned by H)"
 
 
-def _graph_tensors(n: int, phi: Polynomial):
-    f = geometry.graph_of(phi, n)
+def _graph_tensors(phi: Polynomial):
+    f = geometry.graph_of(phi)
     return f, geometry.taylor_tensor(f, 2), geometry.taylor_tensor(f, 3)
 
 
 def _check_traces(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    f, g_taylor, _ = _graph_tensors(n, phi)
+    f, g_taylor, _ = _graph_tensors(phi)
     ok = True
     top = max(f.total_degree(), 3)
     g_taylor_inv = geometry.metric_inverse(g_taylor)
@@ -120,7 +120,7 @@ def _check_traces(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
 
 
 def _check_pick(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    _, g_taylor, a_taylor = _graph_tensors(n, phi)
+    _, g_taylor, a_taylor = _graph_tensors(phi)
     values = {"taylor": geometry.pick_invariant(g_taylor, a_taylor)}
     if not variant:
         values["indicator"] = geometry.pick_invariant(
@@ -132,7 +132,7 @@ def _check_pick(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
 
 
 def _check_signature(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    _, g_taylor, _ = _graph_tensors(n, phi)
+    _, g_taylor, _ = _graph_tensors(phi)
     sig = geometry.signature(g_taylor)
     detail = f"signature ({sig.positive}, {sig.negative}, {sig.zero})"
     if variant:
@@ -142,12 +142,12 @@ def _check_signature(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]
 
 
 def _check_ruling(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    dim, linear = geometry.ruling_check(n, phi)
+    dim, linear = geometry.ruling_check(phi)
     return linear, f"linear in the upper block; ruled by {dim}-planes"
 
 
 def _check_hessian(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    f = geometry.graph_of(phi, n)
+    f = geometry.graph_of(phi)
     hess = geometry.hessian_determinant(f)
     if hess.is_constant():
         return True, f"Hessian determinant constant = {hess.coefficient({})}"
@@ -192,30 +192,45 @@ CHECK_ORDER = list(CHECKS)
 # -- subcommand drivers -------------------------------------------------------
 
 
-def _target_poly(parser, n: int | None, b: Fraction | None, variant: bool) -> tuple[int, Polynomial, str]:
-    if variant:
-        if b is not None:
+def _surface(parser, args) -> tuple[Polynomial, str]:
+    """The polynomial a command's options name, and its source.
+
+    The n guard runs before the polynomial is built; a --file polynomial
+    is guarded once it is read.
+    """
+    if getattr(args, "file", None) is not None:
+        if args.n is not None or args.b is not None or args.variant:
+            parser.error("--file does not take --n, --b or --variant")
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                phi = poly_from_json_dict(json.load(handle))
+        except (OSError, ValueError, RecursionError) as exc:
+            parser.error(f"cannot read polynomial file: {exc}")
+        _guard_n(parser, phi.n, args.force)
+        return phi, "file"
+    if args.variant:
+        if args.b is not None:
             parser.error("--variant does not take --b")
-        if n not in (None, 4):
+        if args.n not in (None, 4):
             parser.error("the variant surface exists only for n = 4")
-        return 4, gen.variant_surface_4(), "variant"
-    if n is None:
+        return gen.variant_surface_4(), "variant"
+    if args.n is None:
         parser.error("--n is required")
-    if n < 1:
+    if args.n < 1:
         parser.error("n must be a positive integer")
-    if b is not None and b != 0:
-        return n, gen.family_poly(n, b), "family"
-    return n, gen.cayley_poly(n), "cayley"
+    _guard_n(parser, args.n, args.force)
+    if args.b:
+        return gen.family_poly(args.n, args.b), "family"
+    return gen.cayley_poly(args.n), "cayley"
 
 
 def _cmd_generate(parser, args) -> int:
-    n, phi, _ = _target_poly(parser, args.n, args.b, args.variant)
-    _guard_n(parser, n, args.force)
+    phi, _ = _surface(parser, args)
     if args.format == "json":
         print(json.dumps(poly_to_json_dict(phi), indent=2))
     else:
         render = format_latex if args.format == "latex" else format_plain
-        print(f"{render(Polynomial.variable(n, n))} = {render(geometry.graph_of(phi, n))}")
+        print(f"{render(Polynomial.variable(phi.n, phi.n))} = {render(geometry.graph_of(phi))}")
     return 0
 
 
@@ -264,28 +279,19 @@ def _algebra_json(algebra: symmetry.SymmetryAlgebra) -> list[dict]:
 
 
 def _cmd_symmetries(parser, args) -> int:
-    if args.file:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                phi = poly_from_json_dict(json.load(handle))
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read polynomial file: {exc}")
-        n, source = phi.n, "file"
-    else:
-        n, phi, source = _target_poly(parser, args.n, args.b, args.variant)
-    _guard_n(parser, n, args.force)
+    phi, source = _surface(parser, args)
     if not phi:
         parser.error("the zero polynomial has no symmetry algebra")
     algebra = symmetry.symmetry_algebra(phi)
     out = {
-        "n": n,
+        "n": phi.n,
         "source": source,
         "dimension": algebra.dimension,
         "basis": _algebra_json(algebra),
     }
     if source == "family":
         out["b"] = str(args.b)
-    if phi.evaluate([0] * n) == 0:
+    if phi.evaluate([0] * phi.n) == 0:
         iso = symmetry.isotropy_at_origin(phi)
         out["isotropy"] = {"dimension": iso.dimension, "basis": _algebra_json(iso)}
     else:
@@ -295,11 +301,10 @@ def _cmd_symmetries(parser, args) -> int:
 
 
 def _cmd_invariants(parser, args) -> int:
-    n, phi, source = _target_poly(parser, args.n, args.b, args.variant)
-    _guard_n(parser, n, args.force)
-    if n < 3:
+    phi, source = _surface(parser, args)
+    if phi.n < 3:
         parser.error("invariants need n >= 3")
-    bundle = geometry.invariants_bundle(n, phi)
+    bundle = geometry.invariants_bundle(phi)
     bundle["source"] = source
     print(json.dumps(bundle, indent=2))
     return 0
@@ -310,33 +315,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cayley",
         description="Exact generation and verification of Cayley hypersurfaces.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--variant", action="store_true", help="use the variant surface (n = 4)")
+    common.add_argument("--force", action="store_true", help="bypass the large-n guard")
+    surface = argparse.ArgumentParser(add_help=False)
+    surface.add_argument("--n", type=int, default=None, help="ambient dimension")
+    surface.add_argument("--b", type=_rational, default=None, help="family parameter (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", help="print one hypersurface equation")
-    p_gen.add_argument("--n", type=int, default=None, help="ambient dimension")
-    p_gen.add_argument("--b", type=_rational, default=None, help="family parameter (default 0)")
-    p_gen.add_argument("--variant", action="store_true", help="use the variant surface (n = 4)")
+    p_gen = sub.add_parser("generate", parents=[common, surface], help="print one hypersurface equation")
     p_gen.add_argument("--format", choices=["plain", "latex", "json"], default="plain")
-    p_gen.add_argument("--force", action="store_true", help="bypass the large-n guard")
+    p_gen.set_defaults(run=_cmd_generate)
 
-    p_ver = sub.add_parser("verify", help="run property checks over a range of n")
+    p_ver = sub.add_parser("verify", parents=[common], help="run property checks over a range of n")
     p_ver.add_argument("--n", type=_n_range, required=True, help="dimension or range A..B")
     p_ver.add_argument("--checks", default="all", help="comma list of checks, or 'all'")
-    p_ver.add_argument("--variant", action="store_true", help="check the variant surface")
-    p_ver.add_argument("--force", action="store_true", help="bypass the large-n guard")
+    p_ver.set_defaults(run=_cmd_verify)
 
-    p_sym = sub.add_parser("symmetries", help="affine symmetry algebra of a surface")
-    p_sym.add_argument("--n", type=int, default=None, help="ambient dimension")
-    p_sym.add_argument("--b", type=_rational, default=None, help="family parameter")
-    p_sym.add_argument("--variant", action="store_true", help="use the variant surface")
+    p_sym = sub.add_parser("symmetries", parents=[common, surface], help="affine symmetry algebra of a surface")
     p_sym.add_argument("--file", default=None, help="polynomial JSON file to analyze")
-    p_sym.add_argument("--force", action="store_true", help="bypass the large-n guard")
+    p_sym.set_defaults(run=_cmd_symmetries)
 
-    p_inv = sub.add_parser("invariants", help="geometric invariants bundle")
-    p_inv.add_argument("--n", type=int, default=None, help="ambient dimension")
-    p_inv.add_argument("--b", type=_rational, default=None, help="family parameter")
-    p_inv.add_argument("--variant", action="store_true", help="use the variant surface")
-    p_inv.add_argument("--force", action="store_true", help="bypass the large-n guard")
+    p_inv = sub.add_parser("invariants", parents=[common, surface], help="geometric invariants bundle")
+    p_inv.set_defaults(run=_cmd_invariants)
 
     return parser
 
@@ -359,13 +360,7 @@ def _attach_b_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_b_values(sys.argv[1:] if argv is None else argv))
-    if args.command == "generate":
-        return _cmd_generate(parser, args)
-    if args.command == "verify":
-        return _cmd_verify(parser, args)
-    if args.command == "symmetries":
-        return _cmd_symmetries(parser, args)
-    return _cmd_invariants(parser, args)
+    return args.run(parser, args)
 
 
 if __name__ == "__main__":

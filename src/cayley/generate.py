@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 from .poly import Polynomial
 
@@ -44,25 +44,6 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
                 yield (part,) + rest
 
     return gen(n, n)
-
-
-def coefficient_closed_form(n: int, partition: Iterable[int]) -> Fraction:
-    """Coefficient in Phi_n of the monomial prod x_v over the given multiset.
-
-    For a partition with d parts and part multiplicities m_v the coefficient
-    is (-1)^d (d-1)! / prod(m_v!): each of the d!/prod(m_v!) orderings of the
-    parts contributes (-1)^d / d.
-    """
-    parts = list(partition)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError("partition parts must be positive integers")
-    if sum(parts) != n:
-        raise ValueError(f"partition sums to {sum(parts)}, expected {n}")
-    d = len(parts)
-    denom = 1
-    for mult in Counter(parts).values():
-        denom *= factorial(mult)
-    return Fraction((-1) ** d * factorial(d - 1), denom)
 
 
 def family_prefactor(d: int, b: Scalar) -> Fraction:
@@ -107,19 +88,6 @@ def cayley_poly(n: int) -> Polynomial:
     return family_poly(n, 0)
 
 
-def graph_of(phi: Polynomial, n: int) -> Polynomial:
-    """Recover f with phi = -x_n + f from a graph-form polynomial."""
-    f = phi + Polynomial.variable(n, n)
-    return f.restrict(n - 1)
-
-
-def graph_function(n: int) -> Polynomial:
-    """The graph function f with Phi_n = -x_n + f, in variables x1..x_{n-1}."""
-    if n < 2:
-        raise ValueError("graph form needs n >= 2")
-    return graph_of(cayley_poly(n), n)
-
-
 def variant_surface_4() -> Polynomial:
     """A second homogeneous graph in dimension 4: -x4 + x1*x3 + x2^2/2 - x1^3/3.
 
@@ -136,7 +104,3 @@ def variant_surface_4() -> Polynomial:
         ],
     )
 
-
-def monomial_count(n: int) -> int:
-    """Number of terms of Phi_n (equals the integer-partition count p(n))."""
-    return len(cayley_poly(n).terms)

@@ -24,7 +24,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .generate import cayley_poly, graph_of, partitions
+from .generate import partitions
 from .poly import Polynomial, PolyMatrix, _collect, determinant
 
 Scalar = Union[int, Fraction]
@@ -207,7 +207,13 @@ def hessian_determinant(f: Polynomial) -> Polynomial:
     return determinant(PolyMatrix(rows))
 
 
-def ruling_check(n: int, phi: Polynomial | None = None) -> tuple[int, bool]:
+def graph_of(phi: Polynomial) -> Polynomial:
+    """Recover f with phi = -x_n + f from a graph-form polynomial, n = phi.n."""
+    n = phi.n
+    return (phi + Polynomial.variable(n, n)).restrict(n - 1)
+
+
+def ruling_check(phi: Polynomial) -> tuple[int, bool]:
     """Linearity of the defining polynomial in the upper variable block.
 
     Fixing x_1 .. x_{floor(n/2)} must leave the polynomial of joint degree
@@ -215,33 +221,30 @@ def ruling_check(n: int, phi: Polynomial | None = None) -> tuple[int, bool]:
     affine planes of dimension (n-1)/2 for odd n and (n-2)/2 for even n
     (both equal (n-1)//2).
     """
+    n = phi.n
     if n < 3:
         raise ValueError("need n >= 3")
-    if phi is None:
-        phi = cayley_poly(n)
     block = range(n // 2 + 1, n + 1)
     is_linear = phi.degree_in(block) <= 1
     return (n - 1) // 2, is_linear
 
 
-def invariants_bundle(n: int, phi: Polynomial | None = None) -> dict:
-    """The invariants report for a graph-form polynomial (default: Phi_n).
+def invariants_bundle(phi: Polynomial) -> dict:
+    """The invariants report for a graph-form polynomial.
 
     Uses the exact Taylor tensors of the graph function.  The Hessian value
     is reported as a rational string when constant, otherwise null.
     """
-    if phi is None:
-        phi = cayley_poly(n)
-    f = graph_of(phi, n)
+    f = graph_of(phi)
     g = taylor_tensor(f, 2)
     a = taylor_tensor(f, 3)
     sig = signature(g)
     pick = pick_invariant(g, a)
     hess = hessian_determinant(f)
     hess_constant = hess.is_constant()
-    plane_dim, linear = ruling_check(n, phi)
+    plane_dim, linear = ruling_check(phi)
     return {
-        "n": n,
+        "n": phi.n,
         "signature": {"pos": sig.positive, "neg": sig.negative, "zero": sig.zero},
         "pick": str(pick),
         "hessian_det_constant": hess_constant,

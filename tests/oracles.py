@@ -5,8 +5,9 @@ exponent-tuple polynomials instead of sparse monomial maps, plain rational
 Gauss-Jordan instead of fraction-free elimination, cofactor expansion and
 plain Gaussian elimination at rational points instead of polynomial
 Bareiss, the pentagonal-number recurrence for partition counts, the
-literal composition sum for the defining polynomials, and matrix power
-sums for the flow of an affine field.  The literal kernels at the end
+literal composition sum for the defining polynomials and the closed-form
+coefficient of each partition, and matrix power sums for the flow of an
+affine field.  The literal kernels at the end
 compute by their definitions what the library computes by shortcuts:
 evaluation with a Fraction per product, the series exponential as the
 sum of the powers A^m/m!, a field applied as a sum of polynomial products,
@@ -15,9 +16,11 @@ and the Pick invariant as a double sum over ordered index triples.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterator
+from math import factorial
+from typing import Callable, Iterable, Iterator
 
 
 def partition_counts(limit: int) -> list[int]:
@@ -192,6 +195,25 @@ def composition_sum_poly(n: int, prefactor: Callable[[int], Fraction]) -> dict:
             key = tuple(exps)
             out[key] = out.get(key, Fraction(0)) + coeff
     return {k: v for k, v in out.items() if v}
+
+
+def coefficient_closed_form(n: int, partition: Iterable[int]) -> Fraction:
+    """Coefficient in Phi_n of the monomial prod x_v over the given multiset.
+
+    For a partition with d parts and part multiplicities m_v the coefficient
+    is (-1)^d (d-1)! / prod(m_v!): each of the d!/prod(m_v!) orderings of the
+    parts contributes (-1)^d / d.
+    """
+    parts = list(partition)
+    if not parts or any(p < 1 for p in parts):
+        raise ValueError("partition parts must be positive integers")
+    if sum(parts) != n:
+        raise ValueError(f"partition sums to {sum(parts)}, expected {n}")
+    d = len(parts)
+    denom = 1
+    for mult in Counter(parts).values():
+        denom *= factorial(mult)
+    return Fraction((-1) ** d * factorial(d - 1), denom)
 
 
 # -- the flow of an affine field as matrix power sums ---------------------------

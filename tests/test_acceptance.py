@@ -11,15 +11,13 @@ from math import factorial
 
 from cayley.generate import (
     cayley_poly,
-    coefficient_closed_form,
     family_poly,
-    graph_function,
-    monomial_count,
     partitions,
     variant_surface_4,
 )
 from cayley.geometry import (
     Signature,
+    graph_of,
     hessian_determinant,
     indicator_tensor,
     metric_inverse,
@@ -42,7 +40,7 @@ from cayley.symmetry import (
     symmetry_algebra,
 )
 
-from oracles import dense_eigen_dimension, partition_counts, scalar_det
+from oracles import coefficient_closed_form, dense_eigen_dimension, partition_counts, scalar_det
 from test_generate import GOLDEN
 
 
@@ -115,14 +113,14 @@ def test_criterion_05_tracefree_tensors_and_parallel_normals():
     def body():
         for n in range(3, 13):
             g_ind_inv = metric_inverse(indicator_tensor(n, 2))
-            f = graph_function(n)
+            f = graph_of(cayley_poly(n))
             g_tay_inv = metric_inverse(taylor_tensor(f, 2))
             for m in range(3, n + 1):
                 assert trace(indicator_tensor(n, m), g_ind_inv).is_zero()
                 assert trace(taylor_tensor(f, m), g_tay_inv).is_zero()
         rng = random.Random(5)
         for n in range(3, 21):
-            f = graph_function(n)
+            f = graph_of(cayley_poly(n))
             hess = hessian_determinant(f)
             assert hess.is_constant()
             pt = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(f.n)]
@@ -140,10 +138,10 @@ def test_criterion_05_tracefree_tensors_and_parallel_normals():
 def test_criterion_06_ruling_and_split_signature():
     def body():
         for n in range(3, 16):
-            dim, linear = ruling_check(n)
+            dim, linear = ruling_check(cayley_poly(n))
             assert linear
             assert dim == ((n - 1) // 2 if n % 2 else (n - 2) // 2)
-            sig = signature(taylor_tensor(graph_function(n), 2))
+            sig = signature(taylor_tensor(graph_of(cayley_poly(n)), 2))
             expected = Signature(n // 2, (n - 1) - n // 2, 0)
             assert sig == expected
             assert sig.zero == 0
@@ -155,7 +153,7 @@ def test_criterion_07_vanishing_pick_invariant():
     def body():
         for n in range(3, 21):
             assert pick_invariant(indicator_tensor(n, 2), indicator_tensor(n, 3)) == 0
-            f = graph_function(n)
+            f = graph_of(cayley_poly(n))
             assert pick_invariant(taylor_tensor(f, 2), taylor_tensor(f, 3)) == 0
 
     _criterion(7, "Pick invariant vanishes, n = 3..20", 5, body)
@@ -194,7 +192,7 @@ def test_criterion_09_term_count_is_partition_count():
         counts = partition_counts(20)
         assert counts[20] == 627
         for n in range(1, 21):
-            assert monomial_count(n) == counts[n]
+            assert len(cayley_poly(n).terms) == counts[n]
 
     _criterion(9, "term count equals the partition number, n <= 20", 5, body)
 

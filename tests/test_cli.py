@@ -41,6 +41,18 @@ GENERATE_SHA256 = {
 GENERATE_PINNED_CASES = [["--n", str(n)] for n in range(3, 15)]
 GENERATE_PINNED_CASES += [["--n", "8", "--b=-7/3"], ["--variant"]]
 
+# sha256 of the concatenated stdout of `symmetries` and of `invariants` over
+# --n 3..8, one family member and --variant, recorded before the options of
+# every command were resolved to a polynomial in one place.
+SURFACE_SHA256 = {
+    "symmetries": "2092e21310ae3af3c555db3e936bcf7d0c4662da067dced60c04eeef3b638f86",
+    "invariants": "011bf571860a898507fe0fb911b633d15f3e14e746245838b919c3f9dbfbbed2",
+}
+SURFACE_PINNED_CASES = {
+    "symmetries": [["--n", str(n)] for n in range(3, 9)] + [["--n", "8", "--b=1/2"], ["--variant"]],
+    "invariants": [["--n", str(n)] for n in range(3, 9)] + [["--n", "6", "--b=3"], ["--variant"]],
+}
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -61,6 +73,16 @@ def test_generate_stdout_is_pinned(capsys, fmt):
         assert code == 0
         outputs.append(out)
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == GENERATE_SHA256[fmt]
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE_SHA256))
+def test_surface_command_stdout_is_pinned(capsys, command):
+    outputs = []
+    for case in SURFACE_PINNED_CASES[command]:
+        code, out = run(capsys, [command, *case])
+        assert code == 0
+        outputs.append(out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == SURFACE_SHA256[command]
 
 
 def test_generate_plain_golden(capsys):
@@ -219,6 +241,29 @@ def test_symmetries_file_is_guarded(capsys, tmp_path):
     assert "exceeds the guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "symmetries", "invariants"])
+def test_huge_n_is_guarded_before_a_surface_is_built(capsys, monkeypatch, command):
+    # cayley_poly is family_poly at b = 0, so this also catches a Phi_n build.
+    def refuse(*args):
+        raise AssertionError("family_poly ran before the guard")
+
+    monkeypatch.setattr("cayley.generate.family_poly", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--n", "99999999999999999999"])
+    assert exc.value.code == 2
+    assert "exceeds the guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--n", "7"], ["--b", "1/2"], ["--variant"]])
+def test_symmetries_file_excludes_other_surface_options(capsys, tmp_path, extra):
+    path = tmp_path / "phi3.json"
+    path.write_text(json.dumps(poly_to_json_dict(Polynomial(3, [({3: 1}, -1), ({1: 2}, 1)]))))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symmetries", "--file", str(path), *extra])
+    assert exc.value.code == 2
+    assert "--file does not take --n, --b or --variant" in capsys.readouterr().err
+
+
 def test_huge_verify_range_is_guarded_before_it_is_built(capsys):
     # Exit 2 with the guard message, not a MemoryError from listing 10^12 dimensions.
     with pytest.raises(SystemExit) as exc:
@@ -298,6 +343,16 @@ def test_symmetries_bad_file(capsys, tmp_path):
         cli.main(["symmetries", "--file", str(tmp_path / "missing.json")])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_symmetries_deeply_nested_file_is_a_usage_error(capsys, tmp_path):
+    # The JSON decoder gives up on this with a RecursionError, not a ValueError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symmetries", "--file", str(path)])
+    assert exc.value.code == 2
+    assert "cannot read polynomial file" in capsys.readouterr().err
 
 
 def test_symmetries_file_zero_denominator(capsys, tmp_path):

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from cayley.generate import cayley_poly, family_poly, graph_function, variant_surface_4
+from cayley.generate import cayley_poly, family_poly, variant_surface_4
 from cayley.geometry import (
     Signature,
     SymmetricTensor,
@@ -57,7 +57,7 @@ def test_indicator_tensor_validation():
 
 
 def test_taylor_tensor_quadratic_part():
-    g = taylor_tensor(graph_function(4), 2)
+    g = taylor_tensor(graph_of(cayley_poly(4)), 2)
     assert g.get(1, 3) == Fraction(1, 2)
     assert g.get(3, 1) == Fraction(1, 2)
     assert g.get(2, 2) == Fraction(1, 2)
@@ -65,12 +65,12 @@ def test_taylor_tensor_quadratic_part():
 
 
 def test_taylor_tensor_above_degree_is_zero():
-    f = graph_function(4)
+    f = graph_of(cayley_poly(4))
     assert taylor_tensor(f, 5).is_zero()
 
 
 def test_taylor_tensor_cubic_part():
-    t = taylor_tensor(graph_function(3), 3)
+    t = taylor_tensor(graph_of(cayley_poly(3)), 3)
     assert dict(t.entries) == {(1, 1, 1): Fraction(-1, 3)}
 
 
@@ -78,7 +78,7 @@ def test_taylor_tensors_reconstruct_graph_function():
     from math import factorial
 
     for n in range(3, 9):
-        f = graph_function(n)
+        f = graph_of(cayley_poly(n))
         rebuilt = Polynomial.zero(f.n)
         for m in range(2, f.total_degree() + 1):
             tensor = taylor_tensor(f, m)
@@ -105,7 +105,7 @@ def test_metric_inverse_identity():
 
 
 def test_metric_inverse_taylor_metric():
-    g = taylor_tensor(graph_function(4), 2)
+    g = taylor_tensor(graph_of(cayley_poly(4)), 2)
     inv = metric_inverse(g)
     assert dict(inv.entries) == {(1, 3): 2, (2, 2): 2}
 
@@ -131,7 +131,7 @@ def test_higher_order_traces_vanish():
 
 def test_taylor_traces_vanish_too():
     for n in range(3, 11):
-        f = graph_function(n)
+        f = graph_of(cayley_poly(n))
         g_inv = metric_inverse(taylor_tensor(f, 2))
         for m in range(3, f.total_degree() + 1):
             assert trace(taylor_tensor(f, m), g_inv).is_zero()
@@ -139,7 +139,7 @@ def test_taylor_traces_vanish_too():
 
 def test_full_metric_contraction_gives_dimension():
     for n in range(3, 9):
-        g = taylor_tensor(graph_function(n), 2)
+        g = taylor_tensor(graph_of(cayley_poly(n)), 2)
         scalar = trace(g, metric_inverse(g))
         assert scalar.order == 0
         assert scalar.get() == n - 1
@@ -156,7 +156,7 @@ def test_trace_validation():
 def test_pick_invariant_vanishes_for_both_conventions():
     for n in range(3, 13):
         assert pick_invariant(indicator_tensor(n, 2), indicator_tensor(n, 3)) == 0
-        f = graph_function(n)
+        f = graph_of(cayley_poly(n))
         assert pick_invariant(taylor_tensor(f, 2), taylor_tensor(f, 3)) == 0
 
 
@@ -211,7 +211,7 @@ def test_pick_invariant_matches_literal_oracle_on_the_family():
             indicator_tensor(n, 2), indicator_tensor(n, 3)
         )
         for b in (0, 1, Fraction(1, 2), Fraction(-7, 3)):
-            f = graph_of(family_poly(n, b), n)
+            f = graph_of(family_poly(n, b))
             g, a = taylor_tensor(f, 2), taylor_tensor(f, 3)
             assert pick_invariant(g, a) == literal_pick(g, a)
             # The family's anti-diagonal metric against a random cubic, which need not give 0.
@@ -221,7 +221,7 @@ def test_pick_invariant_matches_literal_oracle_on_the_family():
 
 def test_signature_split_by_parity():
     for n in range(3, 16):
-        sig = signature(taylor_tensor(graph_function(n), 2))
+        sig = signature(taylor_tensor(graph_of(cayley_poly(n)), 2))
         if n % 2:
             assert sig == Signature((n - 1) // 2, (n - 1) // 2, 0)
         else:
@@ -264,7 +264,7 @@ def test_inertia_invariant_under_congruence():
 
 def test_hessian_determinant_constants():
     for n, expected in HESSIAN_CONSTANTS.items():
-        hess = hessian_determinant(graph_function(n))
+        hess = hessian_determinant(graph_of(cayley_poly(n)))
         assert hess == Polynomial.constant(n - 1, expected)
         assert hess.total_degree() <= 0
 
@@ -275,18 +275,18 @@ def test_hessian_determinant_paraboloid():
 
 
 def test_hessian_determinant_variant_surface():
-    f = graph_of(variant_surface_4(), 4)
+    f = graph_of(variant_surface_4())
     assert hessian_determinant(f) == Polynomial.constant(3, -1)
 
 
 def test_ruling_check_examples():
-    assert ruling_check(3) == (1, True)
-    assert ruling_check(6) == (2, True)
+    assert ruling_check(cayley_poly(3)) == (1, True)
+    assert ruling_check(cayley_poly(6)) == (2, True)
 
 
 def test_ruling_check_linearity_through_fifteen():
     for n in range(3, 16):
-        dim, linear = ruling_check(n)
+        dim, linear = ruling_check(cayley_poly(n))
         assert linear
         assert dim == ((n - 1) // 2 if n % 2 else (n - 2) // 2)
 
@@ -294,12 +294,12 @@ def test_ruling_check_linearity_through_fifteen():
 def test_ruling_check_detects_nonlinearity():
     # x3^2 breaks linearity in the upper block {x2, x3}.
     phi = Polynomial(3, [({3: 2}, 1), ({1: 1}, 1)])
-    _, linear = ruling_check(3, phi)
+    _, linear = ruling_check(phi)
     assert not linear
 
 
 def test_invariants_bundle_pinned():
-    assert invariants_bundle(4) == {
+    assert invariants_bundle(cayley_poly(4)) == {
         "n": 4,
         "signature": {"pos": 2, "neg": 1, "zero": 0},
         "pick": "0",
@@ -310,7 +310,7 @@ def test_invariants_bundle_pinned():
 
 
 def test_invariants_bundle_variant():
-    bundle = invariants_bundle(4, variant_surface_4())
+    bundle = invariants_bundle(variant_surface_4())
     assert bundle["signature"]["zero"] == 0
     assert bundle["pick"] == "0"
     assert bundle["hessian_det_constant"] is True
