@@ -18,6 +18,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import generate as gen
 from . import geometry, symmetry
@@ -325,19 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", parents=[common, surface], help="print one hypersurface equation")
     p_gen.add_argument("--format", choices=["plain", "latex", "json"], default="plain")
-    p_gen.set_defaults(run=_cmd_generate)
+    p_gen.set_defaults(run=partial(_cmd_generate, p_gen))
 
     p_ver = sub.add_parser("verify", parents=[common], help="run property checks over a range of n")
     p_ver.add_argument("--n", type=_n_range, required=True, help="dimension or range A..B")
     p_ver.add_argument("--checks", default="all", help="comma list of checks, or 'all'")
-    p_ver.set_defaults(run=_cmd_verify)
+    p_ver.set_defaults(run=partial(_cmd_verify, p_ver))
 
     p_sym = sub.add_parser("symmetries", parents=[common, surface], help="affine symmetry algebra of a surface")
     p_sym.add_argument("--file", default=None, help="polynomial JSON file to analyze")
-    p_sym.set_defaults(run=_cmd_symmetries)
+    p_sym.set_defaults(run=partial(_cmd_symmetries, p_sym))
 
     p_inv = sub.add_parser("invariants", parents=[common, surface], help="geometric invariants bundle")
-    p_inv.set_defaults(run=_cmd_invariants)
+    p_inv.set_defaults(run=partial(_cmd_invariants, p_inv))
 
     return parser
 
@@ -360,7 +361,7 @@ def _attach_b_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_b_values(sys.argv[1:] if argv is None else argv))
-    return args.run(parser, args)
+    return args.run(args)  # bound to its subcommand's parser, so usage errors print its usage line
 
 
 if __name__ == "__main__":

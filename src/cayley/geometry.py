@@ -17,7 +17,6 @@ Pick computations are run over both in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -25,7 +24,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .generate import partitions
-from .poly import Polynomial, PolyMatrix, _collect, determinant
+from .poly import Polynomial, PolyMatrix, _collect, _Frozen, determinant
 
 Scalar = Union[int, Fraction]
 IndexKey = tuple[int, ...]
@@ -40,13 +39,10 @@ def _canonical_key(indices: Iterable[int], order: int, dim: int) -> IndexKey:
     return key
 
 
-@dataclass(frozen=True)
-class SymmetricTensor:
-    """A fully symmetric order-m tensor stored by sorted index multiset."""
+class SymmetricTensor(_Frozen):
+    """A fully symmetric order-m tensor stored by sorted index multiset; unhashable."""
 
-    order: int
-    dim: int
-    entries: Mapping[IndexKey, Fraction]
+    __slots__ = ("order", "dim", "entries")
 
     def __init__(self, order: int, dim: int, entries: Mapping[IndexKey, Scalar] | None = None):
         if order < 0 or dim < 0:
@@ -56,9 +52,7 @@ class SymmetricTensor:
             v = Fraction(value)
             if v:
                 canon[_canonical_key(key, order, dim)] = v
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", canon)
+        self._set(order, dim, canon)
 
     def get(self, *indices: int) -> Fraction:
         """Component for any ordering of the indices (zero if absent)."""
@@ -76,13 +70,13 @@ class SymmetricTensor:
         ]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Frozen):
     """Inertia counts of a symmetric bilinear form."""
 
-    positive: int
-    negative: int
-    zero: int
+    __slots__ = ("positive", "negative", "zero")
+
+    def __init__(self, positive: int, negative: int, zero: int):
+        self._set(positive, negative, zero)
 
 
 def indicator_tensor(n: int, m: int) -> SymmetricTensor:

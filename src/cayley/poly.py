@@ -92,7 +92,43 @@ def _mono_key(m: Mono, n: int) -> tuple[int, tuple[int, ...]]:
     return (mono_degree(m), tuple(vec))
 
 
-class Polynomial:
+class _Frozen:
+    """An immutable value: a constructor sets the attributes named in __slots__
+    once, by _set.  Values of one class with equal attributes are equal and
+    hash alike; a value holding a dict is unhashable."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setstate__(self, state):  # copy and pickle pass (None, {slot: value})
+        self._set(*state[1].values())
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Polynomial(_Frozen):
     """An immutable sparse polynomial with exact rational coefficients.
 
     Instances should be treated as frozen: every operation returns a new
@@ -104,19 +140,15 @@ class Polynomial:
     def __init__(self, n: int, terms: Iterable[tuple[ExpsLike, Scalar]] = ()):
         if n < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        object.__setattr__(self, "n", n)
         pairs = ((_normalize_exps(exps, n), Fraction(coeff)) for exps, coeff in terms)
-        object.__setattr__(self, "terms", _collect(pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        self._set(n, _collect(pairs))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _raw(cls, n: int, terms: dict[Mono, Fraction]) -> "Polynomial":
         """Internal constructor; terms must already be canonical."""
-        p = cls.__new__(cls)
+        p = cls.__new__(cls)  # not _set: this runs once per arithmetic result
         object.__setattr__(p, "n", n)
         object.__setattr__(p, "terms", terms)
         return p
@@ -145,12 +177,7 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
+    def __hash__(self):  # equality is _Frozen's, over (n, terms)
         return hash((self.n, frozenset(self.terms.items())))
 
     def coefficient(self, exps: ExpsLike) -> Fraction:
@@ -431,7 +458,7 @@ def poly_from_json_dict(data: Mapping) -> Polynomial:
 # -- polynomial matrices and determinants ------------------------------------
 
 
-class PolyMatrix:
+class PolyMatrix(_Frozen):
     """A rectangular matrix of polynomials sharing one ambient space."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -450,12 +477,7 @@ class PolyMatrix:
             for p in row:
                 if p.n != n:
                     raise ValueError("entries live in different spaces")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
+        self._set(rows, cols, tuple(tuple(row) for row in entries))
 
     @classmethod
     def identity(cls, size: int, n: int) -> "PolyMatrix":

@@ -27,13 +27,12 @@ an exact rational nullspace computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
 from . import linalg
-from .poly import Mono, Polynomial, mono_mul, variables
+from .poly import Mono, Polynomial, _Frozen, mono_mul, variables
 
 Scalar = Union[int, Fraction]
 
@@ -54,12 +53,10 @@ def _freeze_matrix(m: Sequence[Sequence[Scalar]], n: int, what: str) -> tuple[tu
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
-@dataclass(frozen=True)
-class AffineVectorField:
+class AffineVectorField(_Frozen):
     """A degree-<=1 vector field sum_j coefficients[j-1] d/dx_j."""
 
-    n: int
-    coefficients: tuple[Polynomial, ...]
+    __slots__ = ("n", "coefficients")
 
     def __init__(self, n: int, constant: Sequence[Scalar], linear: Sequence[Sequence[Scalar]]):
         c = _freeze_vector(constant, n, "constant part")
@@ -67,16 +64,12 @@ class AffineVectorField:
         coefficients = [
             Polynomial(n, [({}, c[j])] + [({i + 1: 1}, a[i][j]) for i in range(n)]) for j in range(n)
         ]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficients", tuple(coefficients))
+        self._set(n, tuple(coefficients))
 
     @classmethod
     def _from_coefficients(cls, n: int, coefficients: Sequence[Polynomial]) -> "AffineVectorField":
         """Internal constructor; the coefficients must be affine polynomials in n variables."""
-        field = cls.__new__(cls)
-        object.__setattr__(field, "n", n)
-        object.__setattr__(field, "coefficients", tuple(coefficients))
-        return field
+        return cls.__new__(cls)._set(n, tuple(coefficients))
 
     @classmethod
     def zero(cls, n: int) -> "AffineVectorField":
@@ -181,11 +174,10 @@ def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
     )
 
 
-@dataclass(frozen=True)
-class AffineTransformation:
+class AffineTransformation(_Frozen):
     """An affine map x_j -> images[j-1], given by n polynomials of degree <= 1 in n variables."""
 
-    images: tuple[Polynomial, ...]
+    __slots__ = ("images",)
 
     def __init__(self, images: Sequence[Polynomial]):
         images = tuple(images)
@@ -193,7 +185,7 @@ class AffineTransformation:
             raise ValueError("an affine map needs n images in the same n variables")
         if any(q.total_degree() > 1 for q in images):
             raise ValueError("an affine map needs images of degree <= 1")
-        object.__setattr__(self, "images", images)
+        self._set(images)
 
     @property
     def n(self) -> int:
@@ -315,12 +307,13 @@ def parameters_for_point(n: int, x: Sequence[Scalar]) -> tuple[Fraction, ...]:
     return _series_log1p(_freeze_vector(x, n - 1, "coordinate vector"))
 
 
-@dataclass(frozen=True)
-class SymmetryAlgebra:
+class SymmetryAlgebra(_Frozen):
     """A basis of affine fields X with X p = c p, and the scalar c for each."""
 
-    basis: tuple[AffineVectorField, ...]
-    eigenvalues: tuple[Fraction, ...]
+    __slots__ = ("basis", "eigenvalues")
+
+    def __init__(self, basis: tuple[AffineVectorField, ...], eigenvalues: tuple[Fraction, ...]):
+        self._set(basis, eigenvalues)
 
     @property
     def dimension(self) -> int:
@@ -343,19 +336,19 @@ def _eigen_system(p: Polynomial, include_constant: bool) -> SymmetryAlgebra:
         for mono, coeff in terms.items():
             rows.setdefault(mono_mul(mono, shift), {})[k] = coeff
     basis_vectors = linalg.nullspace(list(rows.values()), ncols=len(columns))
+    # After c, the coefficient of d/dx_(j+1) is the stride slice vec[1 + j :: n],
+    # read on the monomials 1 (if constants are unknowns), x_1, ..., x_n.
+    keys = ([()] if include_constant else []) + [((i, 1),) for i in range(1, n + 1)]
     fields = []
-    eigenvalues = []
     for vec in basis_vectors:
-        if not include_constant:
-            vec = vec[:1] + [Fraction(0)] * n + vec[1:]
-        c, constant = vec[0], vec[1 : n + 1]
-        linear = [vec[(i + 1) * n + 1 : (i + 2) * n + 1] for i in range(n)]
-        field = AffineVectorField(n, constant, linear)
-        if field.apply(p) != p * c:
+        coefficients = [
+            Polynomial._raw(n, {key: v for key, v in zip(keys, vec[1 + j :: n]) if v}) for j in range(n)
+        ]
+        field = AffineVectorField._from_coefficients(n, coefficients)
+        if field.apply(p) != p * vec[0]:
             raise RuntimeError("solver produced a field violating its eigen-relation")
         fields.append(field)
-        eigenvalues.append(c)
-    return SymmetryAlgebra(tuple(fields), tuple(eigenvalues))
+    return SymmetryAlgebra(tuple(fields), tuple(vec[0] for vec in basis_vectors))
 
 
 def symmetry_algebra(p: Polynomial) -> SymmetryAlgebra:

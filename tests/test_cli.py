@@ -411,3 +411,21 @@ def test_invariants_family(capsys):
     data = json.loads(out)
     assert data["source"] == "family"
     assert data["signature"] == {"pos": 2, "neg": 2, "zero": 0}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--n", "3", "--variant"], "the variant surface exists only for n = 4"),
+        (["verify", "--n", "2"], "verify needs n >= 3"),
+        (["symmetries"], "--n is required"),
+        (["invariants", "--n", "2"], "invariants need n >= 3"),
+    ],
+)
+def test_driver_errors_print_the_subcommand_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cayley {argv[0]} [-h]")
+    assert err.endswith(f"cayley {argv[0]}: error: {message}\n")
