@@ -23,13 +23,11 @@ Phi_N is built as that member of the family.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Union
 
-from .poly import Polynomial
-
-Scalar = Union[int, Fraction]
+from .poly import Polynomial, Scalar
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -17,16 +17,15 @@ Pick computations are run over both in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .generate import partitions
-from .poly import Polynomial, PolyMatrix, _collect, _Frozen, determinant
+from .poly import Polynomial, PolyMatrix, Scalar, _collect, _Frozen, determinant
 
-Scalar = Union[int, Fraction]
 IndexKey = tuple[int, ...]
 
 

@@ -5,7 +5,8 @@ geometric invariants (matrix inversion, inertia of symmetric forms).  All
 routines take lists of lists of Fraction-compatible values and never touch
 floating point; nullspace and rank also take rows as maps column -> value.
 Nullspace, rank and inversion read one sparse reduced row echelon form,
-built one row at a time; inertia is a symmetric congruence reduction.
+built one row at a time; inertia eliminates symmetrically on the same
+sparse rows.
 """
 
 from __future__ import annotations
@@ -26,22 +27,25 @@ def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fract
             del row[j]
 
 
+def _sparse(row: Sequence | Mapping[int, object]) -> dict[int, Fraction]:
+    """A dense row or a map column -> value, as column -> nonzero Fraction."""
+    # `v and` skips zeros without building a Fraction; a string "0" is converted, then dropped.
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    return {j: f for j, v in items if v and (f := Fraction(v))}
+
+
 def _reduced_echelon(rows: Rows) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form on sparse rows, built one row at a time.
 
-    Each row, dense or a map column -> value, is read as column -> nonzero
-    Fraction and reduced by the reduced rows at the pivot columns it holds;
-    a remainder pivots on its smallest column, which is then cleared from
-    the earlier rows.  Returns the nonzero rows, each without its pivot
-    entry (which is 1), and their pivot columns, in ascending pivot order.
+    Each row, dense or a map column -> value, is read sparsely and reduced
+    by the reduced rows at the pivot columns it holds; a remainder pivots on
+    its smallest column, which is then cleared from the earlier rows.
+    Returns the nonzero rows, each without its pivot entry (which is 1), and
+    their pivot columns, in ascending pivot order.
     The reduced form is unique, so the row order does not change it.
     """
     reduced: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        # `v and` skips the many zeros without building a Fraction; a value
-        # such as the string "0" is converted first and then dropped.
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
-        row = {j: f for j, v in items if v and (f := Fraction(v))}
+    for row in map(_sparse, rows):
         for col in [j for j in row if j in reduced]:
             _subtract(row, row.pop(col), reduced[col])
         if not row:
@@ -67,14 +71,18 @@ def nullspace(rows: Rows, ncols: int | None = None) -> list[list[Fraction]]:
     """Deterministic rational basis of the right nullspace.
 
     Rows are dense or maps column -> value (then ncols is required), reduced
-    one at a time.  One basis vector per free column of the reduced form, in
-    ascending order, each normalized so its first nonzero entry is 1.
+    one at a time; an entry outside columns 0..ncols-1 is a ValueError.  One
+    basis vector per free column of the reduced form, in ascending order,
+    each normalized so its first nonzero entry is 1.
     """
     if ncols is None:
         if not rows or isinstance(rows[0], Mapping):
             raise ValueError("ncols required for an empty system or map rows")
         ncols = len(rows[0])
     reduced, pivots = _reduced_echelon(rows)
+    # The reduced rows span the input rows, so they show every column used.
+    if not all(0 <= j < ncols for row in (pivots, *reduced) for j in row):
+        raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -118,45 +126,34 @@ def invert(matrix: Sequence[Sequence]) -> Matrix:
 def inertia(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
     """Exact inertia (positive, negative, zero) of a symmetric matrix.
 
-    Symmetric congruence reduction with rational pivots.  When the diagonal
-    of the remaining block vanishes, a 2x2 hyperbolic block [[0,a],[a,0]] is
-    split off, contributing one positive and one negative direction.
+    Symmetric elimination on sparse rows: each step pivots on a nonzero
+    diagonal entry d = m[k][k], counts its sign, and subtracts m[i][k] / d
+    times row k from every row i that holds column k.  When every remaining
+    diagonal entry is zero but some m[k][j] is not, adding row and column j
+    to row and column k first makes m[k][k] = 2 m[k][j].  The rows left
+    empty are the zero directions.
     """
     size = len(matrix)
-    m = [[Fraction(v) for v in row] for row in matrix]
-    for i in range(size):
-        for j in range(size):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix is not symmetric")
-    live = list(range(size))
-    pos = neg = zero = 0
-    while live:
-        k = next((i for i in live if m[i][i]), None)
-        if k is not None:
-            d = m[k][k]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            live.remove(k)
-            for i in live:
-                for j in live:
-                    m[i][j] -= m[i][k] * m[k][j] / d
-            continue
-        pair = next(
-            ((i, j) for ii, i in enumerate(live) for j in live[ii + 1:] if m[i][j]),
-            None,
-        )
-        if pair is None:
-            zero += len(live)
-            break
-        i0, j0 = pair
-        a = m[i0][j0]
-        pos += 1
-        neg += 1
-        live.remove(i0)
-        live.remove(j0)
-        for i in live:
-            for j in live:
-                m[i][j] -= (m[i][i0] * m[j0][j] + m[i][j0] * m[i0][j]) / a
-    return pos, neg, zero
+    if any(len(row) != size for row in matrix):
+        raise ValueError("matrix is not square")
+    rows = dict(enumerate(map(_sparse, matrix)))
+    if any(rows[j].get(i) != v for i, row in rows.items() for j, v in row.items()):
+        raise ValueError("matrix is not symmetric")
+    pos = neg = 0
+    while any(rows.values()):
+        k = next((i for i, row in rows.items() if i in row), None)
+        if k is None:
+            k, row = next((i, row) for i, row in rows.items() if row)
+            _subtract(row, Fraction(-1), rows[next(iter(row))])
+            row[k] *= 2
+        # Row k is also column k, by symmetry: the other rows drop their
+        # column k entries (stale after the step above) and are reduced by it.
+        pivot = rows.pop(k)
+        d = pivot.pop(k)
+        pos += d > 0
+        neg += d < 0
+        for row in rows.values():
+            row.pop(k, None)
+        for i, c in pivot.items():
+            _subtract(rows[i], c / d, pivot)
+    return pos, neg, len(rows)

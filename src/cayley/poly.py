@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 Mono = tuple[tuple[int, int], ...]
-Scalar = Union[int, Fraction]
-ExpsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
+Scalar = int | Fraction
+ExpsLike = Mapping[int, int] | Iterable[tuple[int, int]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -342,6 +342,8 @@ class Polynomial(_Frozen):
 
     def restrict(self, n_new: int) -> "Polynomial":
         """Reinterpret in a smaller space; fails if dropped variables occur."""
+        if n_new < 0:
+            raise ValueError("ambient dimension must be nonnegative")
         used = self.variables_used()
         if any(v > n_new for v in used):
             raise ValueError(f"polynomial uses variables above x{n_new}")
@@ -479,19 +481,6 @@ class PolyMatrix(_Frozen):
                     raise ValueError("entries live in different spaces")
         self._set(rows, cols, tuple(tuple(row) for row in entries))
 
-    @classmethod
-    def identity(cls, size: int, n: int) -> "PolyMatrix":
-        one = Polynomial.constant(n, 1)
-        zero = Polynomial.zero(n)
-        return cls([[one if i == j else zero for j in range(size)] for i in range(size)])
-
-    @classmethod
-    def from_scalars(cls, entries: Sequence[Sequence[Scalar]], n: int = 0) -> "PolyMatrix":
-        return cls([[Polynomial.constant(n, v) for v in row] for row in entries])
-
-    def ambient_dimension(self) -> int:
-        return self.entries[0][0].n
-
 
 def _leading_term(p: Polynomial) -> tuple[Mono, Fraction]:
     mono = max(p.terms, key=lambda m: _mono_key(m, p.n))
@@ -530,7 +519,7 @@ def determinant(matrix: PolyMatrix) -> Polynomial:
         raise ValueError(f"non-square matrix: {matrix.rows}x{matrix.cols}")
     size = matrix.rows
     a = [list(row) for row in matrix.entries]
-    prev = Polynomial.constant(matrix.ambient_dimension(), 1)
+    prev = Polynomial.constant(matrix.entries[0][0].n, 1)
     sign = 1
     for k in range(size):
         block = [(a[i][j].total_degree(), len(a[i][j].terms), i, j)

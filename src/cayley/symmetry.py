@@ -27,14 +27,12 @@ an exact rational nullspace computation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Union
 
 from . import linalg
-from .poly import Mono, Polynomial, _Frozen, mono_mul, variables
-
-Scalar = Union[int, Fraction]
+from .poly import Mono, Polynomial, Scalar, _Frozen, mono_mul, variables
 
 
 class InexactExponentialError(ValueError):

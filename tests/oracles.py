@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own algorithms: dense
 exponent-tuple polynomials instead of sparse monomial maps, plain rational
 Gauss-Jordan instead of fraction-free elimination, cofactor expansion and
 plain Gaussian elimination at rational points instead of polynomial
-Bareiss, the pentagonal-number recurrence for partition counts, the
-literal composition sum for the defining polynomials and the closed-form
+Bareiss, eigenvalue signs read off the characteristic polynomial instead
+of symmetric elimination, the pentagonal-number recurrence for partition
+counts, the literal composition sum for the defining polynomials and the closed-form
 coefficient of each partition, and matrix power sums for the flow of an
 affine field.  The literal kernels at the end
 compute by their definitions what the library computes by shortcuts:
@@ -73,6 +74,36 @@ def scalar_det(m: list[list[Fraction]]) -> Fraction:
             f = m[i][k] / m[k][k]
             m[i] = [a - f * b for a, b in zip(m[i], m[k])]
     return det
+
+
+def literal_inertia(matrix: list[list[Fraction]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+
+    For the m x m matrix A, p(t) = det(A - tI) is evaluated by scalar_det
+    at t = 0..m and its coefficients are interpolated exactly, one Lagrange
+    basis polynomial per point.  A symmetric matrix has only real
+    eigenvalues, so Descartes' rule of signs is exact: the sign changes of
+    p(t) count the positive roots and those of p(-t) the negative ones.  The
+    zero eigenvalues are the multiplicity of the root t = 0, the number of
+    vanishing low coefficients.
+    """
+    size = len(matrix)
+    coeffs = [Fraction(0)] * (size + 1)
+    for k in range(size + 1):
+        shifted = [[Fraction(v) - k * (i == j) for j, v in enumerate(row)] for i, row in enumerate(matrix)]
+        basis = [Fraction(1)]  # prod over j != k of (t - j) / (k - j), lowest degree first
+        for j in range(size + 1):
+            if j != k:
+                basis = [(t_part - j * b) / (k - j) for t_part, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+        value = scalar_det(shifted)
+        coeffs = [c + value * b for c, b in zip(coeffs, basis)]
+
+    def sign_changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    zero = next(i for i, c in enumerate(coeffs) if c)
+    return sign_changes(coeffs), sign_changes([c * (-1) ** i for i, c in enumerate(coeffs)]), zero
 
 
 def rref_nullity(rows: list[list[Fraction]], ncols: int) -> int:

@@ -26,7 +26,8 @@ def test_cli_import_loads_the_package_without_dataclasses():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                          capture_output=True, text=True, check=True).stdout
     loaded = set(out.split())
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & loaded
+    # Annotations are strings and the aliases come from collections.abc, so typing stays out too.
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & loaded
     # bench/tracer.py rebinds functions in every package module, so all must load.
     package = {f"cayley.{name}" for name in ("cli", "generate", "geometry", "linalg", "poly", "symmetry")}
     assert package <= loaded

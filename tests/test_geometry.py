@@ -22,7 +22,7 @@ from cayley.geometry import (
 from cayley.linalg import inertia
 from cayley.poly import Polynomial
 
-from oracles import literal_pick
+from oracles import literal_inertia, literal_pick
 
 # Frozen from an independent symbolic computation of det Hess of the graph
 # functions (cross-checked again by cofactor evaluation in test_poly).
@@ -227,6 +227,14 @@ def test_signature_split_by_parity():
         else:
             assert sig == Signature(n // 2, (n - 2) // 2, 0)
         assert sig.zero == 0
+
+
+def test_inertia_of_taylor_metrics_matches_the_characteristic_polynomial():
+    surfaces = [cayley_poly(n) for n in range(3, 21)]
+    surfaces += [family_poly(9, Fraction(-7, 3)), family_poly(6, 2), variant_surface_4()]
+    for phi in surfaces:
+        metric = taylor_tensor(graph_of(phi), 2).as_matrix()
+        assert inertia(metric) == literal_inertia(metric)
 
 
 def test_signature_zero_matrix():

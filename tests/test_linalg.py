@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cayley.linalg import invert, mat_mul, nullspace, rank
+from cayley.linalg import inertia, invert, mat_mul, nullspace, rank
 
-from oracles import rref_nullity
+from oracles import literal_inertia, rref_nullity
 
 
 def rand_matrix(rng, nrows, ncols, density):
@@ -104,6 +104,14 @@ def test_empty_system():
     assert nullspace([{0: 1}], ncols=2) == [[0, 1]]
 
 
+def test_nullspace_refuses_entries_outside_the_columns():
+    for rows, ncols in (([[1, 2, 3]], 2), ([{5: 1}], 3), ([{-1: 1}], 3), ([[1, 1], [0, 0, 4]], 2)):
+        with pytest.raises(ValueError, match="outside columns"):
+            nullspace(rows, ncols)
+    # A dense row shorter than ncols has zeros in the columns it leaves out.
+    assert nullspace([[1, 2]], ncols=3) == [[1, Fraction(-1, 2), 0], [0, 0, 1]]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_invert_random_matrices(seed):
     rng = random.Random(100 + seed)
@@ -130,3 +138,46 @@ def test_invert_singular_and_non_square():
         invert([[0, 1], [0, 1]])
     with pytest.raises(ValueError, match="not square"):
         invert([[1, 2]])
+
+
+def rand_symmetric(rng, size):
+    """A random symmetric matrix, its diagonal cleared, a row and column
+    duplicated or everything replaced by a scaled v v^T, each now and then."""
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            if rng.random() < 0.6:
+                m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    kind = rng.random()
+    if kind < 0.4:
+        for i in range(size):
+            m[i][i] = Fraction(0)
+    elif kind < 0.6 and size >= 2:
+        a, b = rng.sample(range(size), 2)
+        m[b] = list(m[a])
+        for row in m:
+            row[b] = row[a]
+    elif kind < 0.7:
+        v = [Fraction(rng.randint(-2, 2)) for _ in range(size)]
+        s = Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+        m = [[s * x * y for y in v] for x in v]
+    return m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inertia_matches_the_characteristic_polynomial(seed):
+    rng = random.Random(200 + seed)
+    for size in range(10):
+        for _ in range(8):
+            m = rand_symmetric(rng, size)
+            assert inertia(m) == literal_inertia(m)
+            assert sum(inertia(m)) == size
+
+
+def test_inertia_refuses_non_square_and_asymmetric_input():
+    for m in ([[1, 2, 3], [2, 1, 0]], [[1], [1, 2]], [[1, 2]], [[]]):
+        with pytest.raises(ValueError, match="not square"):
+            inertia(m)
+    with pytest.raises(ValueError, match="not symmetric"):
+        inertia([[0, 1], [2, 0]])
+    assert inertia([]) == (0, 0, 0)

@@ -196,7 +196,9 @@ def test_determinant_2x2():
 
 def test_determinant_identity_all_sizes():
     for size in range(1, 6):
-        assert determinant(PolyMatrix.identity(size, 2)) == Polynomial.constant(2, 1)
+        one, zero = Polynomial.constant(2, 1), Polynomial.zero(2)
+        identity = PolyMatrix([[one if i == j else zero for j in range(size)] for i in range(size)])
+        assert determinant(identity) == one
 
 
 def test_determinant_non_square():
@@ -206,12 +208,14 @@ def test_determinant_non_square():
 
 
 def test_determinant_multiplicative_on_constant_matrices():
+    def det(m):
+        return determinant(PolyMatrix([[Polynomial.constant(0, v) for v in row] for row in m])).coefficient({})
+
     rng = random.Random(7)
     for _ in range(10):
         a = [[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4)]
         b = [[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4)]
         ab = [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
-        det = lambda m: determinant(PolyMatrix.from_scalars(m)).coefficient({})
         assert det(ab) == det(a) * det(b)
 
 
@@ -441,6 +445,14 @@ def test_extend_and_restrict():
     assert embedded + Polynomial.monomial(4, {4: 1}, -1) == cayley_poly(4)
     with pytest.raises(ValueError):
         cayley_poly(4).restrict(3)
+
+
+def test_restrict_refuses_a_negative_dimension():
+    # No variable occurs, so only the dimension itself can be refused, as the constructor does.
+    for p in (Polynomial.zero(2), Polynomial.constant(2, 5)):
+        assert p.restrict(0) == Polynomial.constant(0, p.coefficient({}))
+        with pytest.raises(ValueError, match="nonnegative"):
+            p.restrict(-1)
 
 
 # -- kernels against oracles on seeded random sparse inputs -------------------
