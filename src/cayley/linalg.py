@@ -27,25 +27,22 @@ def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fract
             del row[j]
 
 
-def _sparse(row: Sequence | Mapping[int, object]) -> dict[int, Fraction]:
-    """A dense row or a map column -> value, as column -> nonzero Fraction."""
-    # `v and` skips zeros without building a Fraction; a string "0" is converted, then dropped.
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    return {j: f for j, v in items if v and (f := Fraction(v))}
-
-
 def _reduced_echelon(rows: Rows) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form on sparse rows, built one row at a time.
 
-    Each row, dense or a map column -> value, is read sparsely and reduced
-    by the reduced rows at the pivot columns it holds; a remainder pivots on
-    its smallest column, which is then cleared from the earlier rows.
-    Returns the nonzero rows, each without its pivot entry (which is 1), and
-    their pivot columns, in ascending pivot order.
+    Each row, dense or a map column -> value, is read as column -> nonzero
+    Fraction and reduced by the reduced rows at the pivot columns it holds;
+    a remainder pivots on its smallest column, which is then cleared from
+    the earlier rows.  Returns the nonzero rows, each without its pivot
+    entry (which is 1), and their pivot columns, in ascending pivot order.
     The reduced form is unique, so the row order does not change it.
     """
     reduced: dict[int, dict[int, Fraction]] = {}
-    for row in map(_sparse, rows):
+    for row in rows:
+        # `v and` skips the many zeros without building a Fraction; a value
+        # such as the string "0" is converted first and then dropped.
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        row = {j: f for j, v in items if v and (f := Fraction(v))}
         for col in [j for j in row if j in reduced]:
             _subtract(row, row.pop(col), reduced[col])
         if not row:
@@ -136,7 +133,7 @@ def inertia(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix is not square")
-    rows = dict(enumerate(map(_sparse, matrix)))
+    rows = {i: {j: f for j, v in enumerate(r) if v and (f := Fraction(v))} for i, r in enumerate(matrix)}
     if any(rows[j].get(i) != v for i, row in rows.items() for j, v in row.items()):
         raise ValueError("matrix is not symmetric")
     pos = neg = 0

@@ -171,7 +171,6 @@ def test_inertia_matches_the_characteristic_polynomial(seed):
         for _ in range(8):
             m = rand_symmetric(rng, size)
             assert inertia(m) == literal_inertia(m)
-            assert sum(inertia(m)) == size
 
 
 def test_inertia_refuses_non_square_and_asymmetric_input():
