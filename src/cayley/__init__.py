@@ -6,102 +6,11 @@ invariants (trace conditions, Pick invariant, signature, Hessian
 determinant, ruling) of the resulting graphs.
 """
 
-from .generate import (
-    cayley_poly,
-    family_poly,
-    family_prefactor,
-    partitions,
-    variant_surface_4,
-)
-from .geometry import (
-    Signature,
-    SymmetricTensor,
-    graph_of,
-    hessian_determinant,
-    indicator_tensor,
-    invariants_bundle,
-    metric_inverse,
-    pick_invariant,
-    ruling_check,
-    signature,
-    taylor_tensor,
-    trace,
-)
-from .poly import (
-    Polynomial,
-    PolyMatrix,
-    determinant,
-    divide_exact,
-    format_latex,
-    format_plain,
-    poly_from_json_dict,
-    poly_to_json_dict,
-    variables,
-    weighted_degree_check,
-)
-from .symmetry import (
-    AffineTransformation,
-    AffineVectorField,
-    InexactExponentialError,
-    SymmetryAlgebra,
-    cayley_fields,
-    commutator,
-    coordinate_field,
-    euler_field,
-    exp_field,
-    field_to_json_dict,
-    isotropy_at_origin,
-    orbit_point,
-    parameters_for_point,
-    span_contains,
-    symmetry_algebra,
-    weight_scaling,
-)
+from .generate import *
+from .geometry import *
+from .poly import *
+from .symmetry import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineTransformation",
-    "AffineVectorField",
-    "InexactExponentialError",
-    "PolyMatrix",
-    "Polynomial",
-    "Signature",
-    "SymmetricTensor",
-    "SymmetryAlgebra",
-    "cayley_fields",
-    "cayley_poly",
-    "commutator",
-    "coordinate_field",
-    "determinant",
-    "divide_exact",
-    "euler_field",
-    "exp_field",
-    "family_poly",
-    "family_prefactor",
-    "field_to_json_dict",
-    "format_latex",
-    "format_plain",
-    "graph_of",
-    "hessian_determinant",
-    "indicator_tensor",
-    "invariants_bundle",
-    "isotropy_at_origin",
-    "metric_inverse",
-    "orbit_point",
-    "parameters_for_point",
-    "partitions",
-    "pick_invariant",
-    "poly_from_json_dict",
-    "poly_to_json_dict",
-    "ruling_check",
-    "signature",
-    "span_contains",
-    "symmetry_algebra",
-    "taylor_tensor",
-    "trace",
-    "variables",
-    "variant_surface_4",
-    "weight_scaling",
-    "weighted_degree_check",
-]
+__all__ = sorted(generate.__all__ + geometry.__all__ + poly.__all__ + symmetry.__all__)

@@ -8,13 +8,15 @@ symmetries  solve for the affine symmetry algebra of a surface, JSON
 invariants  signature / Pick / Hessian / ruling bundle for one surface, JSON
 
 All output is deterministic: identical invocations produce identical bytes.
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
+141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -241,11 +243,13 @@ def _cmd_verify(parser, args) -> int:
         names = list(allowed)
     else:
         names = [c.strip() for c in args.checks.split(",")]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in CHECK_ORDER:
             parser.error(f"unknown check {name!r}; choose from {', '.join(CHECK_ORDER)}")
         if name not in allowed:
             parser.error(f"check {name!r} is not applicable to the variant surface")
+        if name in names[:i]:
+            parser.error(f"check {name!r} is listed twice")
     ns = args.n
     if ns[0] < 3:
         parser.error("verify needs n >= 3")
@@ -361,7 +365,16 @@ def _attach_b_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_b_values(sys.argv[1:] if argv is None else argv))
-    return args.run(args)  # bound to its subcommand's parser, so usage errors print its usage line
+    try:
+        code = args.run(args)  # bound to its subcommand's parser, so usage errors print its usage line
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (as in `cayley verify ... | head -1`).  Point stdout
+        # at the null device so the flush at exit cannot fail again, and exit as
+        # a process killed by SIGPIPE would: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

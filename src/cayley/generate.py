@@ -29,6 +29,8 @@ from math import factorial
 
 from .poly import Polynomial, Scalar
 
+__all__ = ["cayley_poly", "family_poly", "family_prefactor", "partitions", "variant_surface_4"]
+
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n as weakly decreasing tuples, largest part first."""

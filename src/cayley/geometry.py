@@ -26,6 +26,12 @@ from . import linalg
 from .generate import partitions
 from .poly import Polynomial, PolyMatrix, Scalar, _collect, _Frozen, determinant
 
+__all__ = [
+    "Signature", "SymmetricTensor", "graph_of", "hessian_determinant", "indicator_tensor",
+    "invariants_bundle", "metric_inverse", "pick_invariant", "ruling_check", "signature",
+    "taylor_tensor", "trace",
+]
+
 IndexKey = tuple[int, ...]
 
 

@@ -26,6 +26,11 @@ from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 
+__all__ = [
+    "PolyMatrix", "Polynomial", "determinant", "divide_exact", "format_latex", "format_plain",
+    "poly_from_json_dict", "poly_to_json_dict", "variables", "weighted_degree_check",
+]
+
 Mono = tuple[tuple[int, int], ...]
 Scalar = int | Fraction
 ExpsLike = Mapping[int, int] | Iterable[tuple[int, int]]
@@ -314,7 +319,14 @@ class Polynomial(_Frozen):
         return Fraction(sum(num * (common // den) for num, den in zip(nums, dens)), common)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Compose: replace x_i by images[i-1].  All images must share a space."""
+        """Compose: replace x_i by images[i-1].  All images must share a space.
+
+        Horner's rule, one variable at a time, innermost (highest index)
+        first: the terms that agree below x_v form a polynomial in x_v whose
+        coefficients already have x_{v+1}, ... substituted, and it is folded
+        as (c_d q + c_{d-1}) q + ... with q the image of x_v.  Every product
+        is by one image, never by a power of one.
+        """
         if len(images) != self.n:
             raise ValueError(f"need {self.n} images, got {len(images)}")
         if not images:
@@ -323,16 +335,23 @@ class Polynomial(_Frozen):
         for q in images:
             if q.n != m:
                 raise ValueError("images live in different spaces")
-        powers: dict[tuple[int, int], Polynomial] = {}
-        products: list[tuple[Mono, Fraction]] = []
-        for mono, coeff in self.terms.items():
-            term = Polynomial.constant(m, coeff)
-            for key in mono:
-                if key not in powers:
-                    powers[key] = images[key[0] - 1] ** key[1]
-                term = term * powers[key]
-            products.extend(term.terms.items())
-        return Polynomial._raw(m, _collect(products))
+        level = {mono: Polynomial.constant(m, coeff) for mono, coeff in self.terms.items()}
+        for var in sorted(self.variables_used(), reverse=True):
+            q = images[var - 1]
+            by_rest: dict[Mono, dict[int, Polynomial]] = {}
+            for mono, coeff in level.items():
+                exp = mono[-1][1] if mono and mono[-1][0] == var else 0
+                by_rest.setdefault(mono[:-1] if exp else mono, {})[exp] = coeff
+            level = {}
+            for rest, by_exp in by_rest.items():
+                top = max(by_exp)
+                acc = by_exp[top]
+                for exp in range(top - 1, -1, -1):
+                    acc = acc * q
+                    if exp in by_exp:
+                        acc = acc + by_exp[exp]
+                level[rest] = acc
+        return level.get((), Polynomial.zero(m))
 
     def extend(self, n_new: int) -> "Polynomial":
         """Reinterpret in a larger ambient space (same terms)."""

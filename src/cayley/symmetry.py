@@ -34,6 +34,13 @@ from math import lcm
 from . import linalg
 from .poly import Mono, Polynomial, Scalar, _Frozen, mono_mul, variables
 
+__all__ = [
+    "AffineTransformation", "AffineVectorField", "InexactExponentialError", "SymmetryAlgebra",
+    "cayley_fields", "commutator", "coordinate_field", "euler_field", "exp_field",
+    "field_to_json_dict", "isotropy_at_origin", "orbit_point", "parameters_for_point",
+    "span_contains", "symmetry_algebra", "weight_scaling",
+]
+
 
 class InexactExponentialError(ValueError):
     """Raised when a field's linear part is not nilpotent, so its flow is not polynomial."""
@@ -204,11 +211,14 @@ class AffineTransformation(_Frozen):
 
     def inverse(self) -> "AffineTransformation":
         """x -> M^-1 (x - c) for the map x -> M x + c; ValueError if M is singular."""
-        n, xs = self.n, variables(self.n)
+        n = self.n
         rows = linalg.invert([[q.coefficient({i: 1}) for i in range(1, n + 1)] for q in self.images])
-        shifted = [x - Polynomial.constant(n, q.coefficient({})) for x, q in zip(xs, self.images)]
-        linear = [sum((x * v for x, v in zip(xs, row)), Polynomial.zero(n)) for row in rows]
-        return AffineTransformation([q.substitute(shifted) for q in linear])
+        c = [q.coefficient({}) for q in self.images]
+        images = []
+        for row in rows:
+            shift = -sum(v * cj for v, cj in zip(row, c))
+            images.append(Polynomial(n, [({}, shift)] + [({i: 1}, v) for i, v in enumerate(row, 1)]))
+        return AffineTransformation(images)
 
 
 def exp_field(field: AffineVectorField, t: Scalar) -> AffineTransformation:
@@ -381,22 +391,3 @@ def field_to_json_dict(field: AffineVectorField, eigenvalue: Fraction | None = N
         data["eigenvalue"] = str(eigenvalue)
     return data
 
-
-__all__ = [
-    "AffineTransformation",
-    "AffineVectorField",
-    "InexactExponentialError",
-    "SymmetryAlgebra",
-    "cayley_fields",
-    "commutator",
-    "coordinate_field",
-    "euler_field",
-    "exp_field",
-    "field_to_json_dict",
-    "isotropy_at_origin",
-    "orbit_point",
-    "parameters_for_point",
-    "span_contains",
-    "symmetry_algebra",
-    "weight_scaling",
-]

@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -420,6 +425,7 @@ def test_invariants_family(capsys):
         (["verify", "--n", "2"], "verify needs n >= 3"),
         (["symmetries"], "--n is required"),
         (["invariants", "--n", "2"], "invariants need n >= 3"),
+        (["verify", "--n", "3", "--checks", "pick,pick"], "check 'pick' is listed twice"),
     ],
 )
 def test_driver_errors_print_the_subcommand_usage(capsys, argv, message):
@@ -429,3 +435,32 @@ def test_driver_errors_print_the_subcommand_usage(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: cayley {argv[0]} [-h]")
     assert err.endswith(f"cayley {argv[0]}: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["generate", "--n", "3"], ["generate", "--n", "20", "--format", "json"], ["verify", "--n", "3..6"]]
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # The read end is closed before the child starts, so its first write to stdout fails:
+    # at the final flush for a short output, inside print for one larger than the stdout buffer.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cayley.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_readme_generate_examples(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples = [
+        (shlex.split(line)[2:], readme[i + 1])
+        for i, line in enumerate(readme)
+        if line.startswith("$ cayley generate") and readme[i + 1].strip()
+    ]
+    assert len(examples) == 2
+    for argv, shown in examples:
+        assert run(capsys, argv) == (0, shown + "\n")

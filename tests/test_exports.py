@@ -1,12 +1,46 @@
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+# The modules that declare the package's public names, each in its own __all__.
+PUBLIC_MODULES = ["cayley.generate", "cayley.geometry", "cayley.poly", "cayley.symmetry"]
 
-@pytest.mark.parametrize("module", ["cayley", "cayley.symmetry"])
+EXPORTS = [
+    "AffineTransformation", "AffineVectorField", "InexactExponentialError", "PolyMatrix", "Polynomial",
+    "Signature", "SymmetricTensor", "SymmetryAlgebra", "cayley_fields", "cayley_poly", "commutator",
+    "coordinate_field", "determinant", "divide_exact", "euler_field", "exp_field", "family_poly",
+    "family_prefactor", "field_to_json_dict", "format_latex", "format_plain", "graph_of",
+    "hessian_determinant", "indicator_tensor", "invariants_bundle", "isotropy_at_origin",
+    "metric_inverse", "orbit_point", "parameters_for_point", "partitions", "pick_invariant",
+    "poly_from_json_dict", "poly_to_json_dict", "ruling_check", "signature", "span_contains",
+    "symmetry_algebra", "taylor_tensor", "trace", "variables", "variant_surface_4", "weight_scaling",
+    "weighted_degree_check",
+]
+
+
+def test_package_exports_are_pinned():
+    assert importlib.import_module("cayley").__all__ == EXPORTS
+
+
+def test_each_name_is_declared_once_by_the_module_that_defines_it():
+    declared = [(name, module) for module in PUBLIC_MODULES for name in importlib.import_module(module).__all__]
+    assert sorted(name for name, _ in declared) == EXPORTS  # so no name is in two lists
+    misplaced = [(name, module) for name, module in declared
+                 if getattr(importlib.import_module(module), name).__module__ != module]
+    assert not misplaced
+
+
+def test_package_init_names_no_export():
+    source = Path(importlib.import_module("cayley").__file__).read_text()
+    code = source.split('"""', 2)[2]  # after the docstring
+    assert not set(re.findall(r"\w+", code)) & set(EXPORTS)
+
+
+@pytest.mark.parametrize("module", ["cayley", *PUBLIC_MODULES])
 def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
@@ -16,7 +50,7 @@ def test_every_export_resolves(module):
 def test_star_import():
     namespace = {}
     exec("from cayley import *", namespace)
-    assert set(importlib.import_module("cayley").__all__) <= namespace.keys()
+    assert namespace.keys() - {"__builtins__"} == set(EXPORTS)
 
 
 def test_cli_import_loads_the_package_without_dataclasses():

@@ -21,7 +21,14 @@ from cayley.generate import cayley_poly, family_poly
 from cayley.geometry import graph_of
 from cayley.symmetry import AffineTransformation, cayley_fields, exp_field
 
-from oracles import cofactor_det, dense_diff, dense_from_sparse, literal_evaluate, scalar_det
+from oracles import (
+    cofactor_det,
+    dense_diff,
+    dense_from_sparse,
+    literal_evaluate,
+    literal_substitute,
+    scalar_det,
+)
 
 
 def rand_poly(rng, n=3, max_degree=3, max_terms=4):
@@ -506,6 +513,30 @@ def test_substitute_matches_literal_evaluation():
             x = rand_point(rng, m)
             inner = [literal_evaluate(q, x) for q in images]
             assert literal_evaluate(p.substitute(images), x) == literal_evaluate(p, inner)
+
+
+
+def test_substitute_matches_literal_power_table():
+    # Non-affine images in 0..6 variables, whatever the polynomial's own count;
+    # sparse_cases leaves one variable of each polynomial unused.
+    rng, cases = sparse_cases(23)
+    cases += [Polynomial.zero(2), Polynomial.constant(3, Fraction(-7, 3)), Polynomial.constant(0, 5)]
+    for p in cases:
+        m = rng.randint(0, 6)
+        images = [sparse_poly(rng, m, absent=0, max_terms=3) for _ in range(p.n)]
+        assert p.substitute(images) == literal_substitute(p, images)
+    assert Polynomial.zero(0).substitute([]) == Polynomial.zero(0)
+
+
+def test_substitute_in_1500_variables_matches_literal_power_table():
+    # One term uses every variable, so a substitution that recursed once per
+    # variable would pass the interpreter's recursion limit.
+    n, rng = 1500, random.Random(24)
+    p = Polynomial(n, [({v: 1 for v in range(1, n + 1)}, 2)] + [({rng.randint(1, n): 3}, 1) for _ in range(5)])
+    y1, y2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    choices = [y1, y2, Polynomial.constant(2, -1), Polynomial.constant(2, Fraction(1, 2))]
+    images = [y1 * y2 + Polynomial.constant(2, 1)] * 3 + [rng.choice(choices) for _ in range(n - 3)]
+    assert p.substitute(images) == literal_substitute(p, images)
 
 
 def test_constructor_sums_repeated_and_drops_cancelled_monomials():
