@@ -364,17 +364,18 @@ def _attach_b_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_b_values(sys.argv[1:] if argv is None else argv))
     try:
-        code = args.run(args)  # bound to its subcommand's parser, so usage errors print its usage line
-        sys.stdout.flush()
+        try:  # --help leaves through SystemExit, so the flush is in a finally
+            args = parser.parse_args(_attach_b_values(sys.argv[1:] if argv is None else argv))
+            return args.run(args)  # bound to its subcommand's parser, so usage errors print its usage line
+        finally:
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone (as in `cayley verify ... | head -1`).  Point stdout
         # at the null device so the flush at exit cannot fail again, and exit as
         # a process killed by SIGPIPE would: 128 + 13.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    return code
 
 
 if __name__ == "__main__":

@@ -438,17 +438,20 @@ def test_driver_errors_print_the_subcommand_usage(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv", [["generate", "--n", "3"], ["generate", "--n", "20", "--format", "json"], ["verify", "--n", "3..6"]]
+    "argv",
+    [["generate", "--n", "3"], ["generate", "--n", "20", "--format", "json"], ["verify", "--n", "3..6"], ["--help"]],
 )
 def test_closed_stdout_exits_141_without_a_traceback(argv):
     # The read end is closed before the child starts, so its first write to stdout fails:
-    # at the final flush for a short output, inside print for one larger than the stdout buffer.
+    # at the final flush for a short output, inside print for one larger than the stdout
+    # buffer.  PYTHONUNBUFFERED would make every output take the second path.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     try:
         proc = subprocess.run([sys.executable, "-m", "cayley.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+                              stderr=subprocess.PIPE, env=env)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
