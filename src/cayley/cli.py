@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -44,10 +45,11 @@ ORBIT_ROUND_TRIPS = 10
 
 
 def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    # [sign]digits[/digits], q nonzero.  Fraction alone would also take decimals,
+    # underscores and exponents, and Fraction("1e10000000") alone takes seconds.
+    if not re.fullmatch(r"[+-]?[0-9]{1,1000}(/(?=0*[1-9])[0-9]{1,1000})?", text):
+        raise argparse.ArgumentTypeError(f"not a rational number p/q, at most 1000 digits each: {text!r}")
+    return Fraction(text)
 
 
 def _n_range(text: str) -> range:
@@ -206,7 +208,8 @@ def _surface(parser, args) -> tuple[Polynomial, str]:
             parser.error("--file does not take --n, --b or --variant")
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
-                phi = poly_from_json_dict(json.load(handle))
+                # Integers stay decimal strings; poly_from_json_dict bounds their digits.
+                phi = poly_from_json_dict(json.load(handle, parse_int=str))
         except (OSError, ValueError, RecursionError) as exc:
             parser.error(f"cannot read polynomial file: {exc}")
         _guard_n(parser, phi.n, args.force)
@@ -364,11 +367,16 @@ def _attach_b_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    limit = sys.get_int_max_str_digits()
     try:
         try:  # --help leaves through SystemExit, so the flush is in a finally
             args = parser.parse_args(_attach_b_values(sys.argv[1:] if argv is None else argv))
+            # Exact output may run past the interpreter's 4300-digit default; every
+            # integer read from input has its own digit bound.
+            sys.set_int_max_str_digits(0)
             return args.run(args)  # bound to its subcommand's parser, so usage errors print its usage line
         finally:
+            sys.set_int_max_str_digits(limit)
             sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone (as in `cayley verify ... | head -1`).  Point stdout

@@ -452,10 +452,10 @@ def poly_to_json_dict(p: Polynomial) -> dict:
 
 
 def _json_int(value) -> int:
-    """A JSON integer or decimal-integer string; floats and booleans are rejected."""
+    """A JSON integer or decimal-integer string of at most 4300 digits; floats and booleans are rejected."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]{1,4300}", value):
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
 

@@ -4,15 +4,16 @@ An affine vector field on N-space is a derivation
 
     X = sum_j X_j d/dx_j,    X_j = constant[j] + sum_i linear[i][j] * x_i,
 
-stored as its N coefficient polynomials X_j, each of degree <= 1; the
-constant vector and the matrix ``linear`` are views read off them.  The
-bracket and the flow are computed with the derivation itself: [X, Y] has
-coefficients X(Y_j) - Y(X_j), and when the linear part is nilpotent the
-time-t flow is the finite Lie series x_j -> sum_k t^k/k! X^k(x_j), an
-affine map.  An affine map is stored the same way, as the n images
-x_j -> T_j(x) of the coordinates, each of degree <= 1: it acts on a point
-by evaluation, on a polynomial p by p.substitute(T.images), and composes
-by substitution.
+built from and stored as its N coefficient polynomials X_j, each of
+degree <= 1; the constant vector and the matrix ``linear`` are views read
+off them.  The bracket and the flow are computed with the derivation
+itself: [X, Y] has coefficients X(Y_j) - Y(X_j), and when the linear part
+is nilpotent the time-t flow is the finite Lie series
+x_j -> sum_k t^k/k! X^k(x_j), an affine map.  An affine map is built and
+stored the same way, from the n images x_j -> T_j(x) of the coordinates:
+it acts on a point by evaluation, on a polynomial p by
+p.substitute(T.images), and composes by substitution.  Both classes share
+one constructor check and the views, in the private base _Affine.
 
 For the commuting shift fields X_p of the Cayley family no matrix is
 needed: reading a point as the series 1 + x_1 s + ... + x_n s^n, the orbit
@@ -52,46 +53,45 @@ def _freeze_vector(v: Sequence[Scalar], n: int, what: str) -> tuple[Fraction, ..
     return tuple(Fraction(x) for x in v)
 
 
-def _freeze_matrix(m: Sequence[Sequence[Scalar]], n: int, what: str) -> tuple[tuple[Fraction, ...], ...]:
-    if len(m) != n or any(len(row) != n for row in m):
-        raise ValueError(f"{what} must be {n}x{n}")
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+class _Affine(_Frozen):
+    """n polynomials of degree <= 1 in the same n variables, kept in the one slot of a subclass."""
 
+    __slots__ = ()
 
-class AffineVectorField(_Frozen):
-    """A degree-<=1 vector field sum_j coefficients[j-1] d/dx_j."""
+    def __init__(self, polys: Sequence[Polynomial]):
+        polys = tuple(polys)
+        if any(q.n != len(polys) for q in polys):
+            raise ValueError(f"{type(self).__name__} needs n polynomials in the same n variables")
+        if any(q.total_degree() > 1 for q in polys):
+            raise ValueError(f"{type(self).__name__} needs polynomials of degree <= 1")
+        self._set(polys)
 
-    __slots__ = ("n", "coefficients")
-
-    def __init__(self, n: int, constant: Sequence[Scalar], linear: Sequence[Sequence[Scalar]]):
-        c = _freeze_vector(constant, n, "constant part")
-        a = _freeze_matrix(linear, n, "linear part")
-        coefficients = [
-            Polynomial(n, [({}, c[j])] + [({i + 1: 1}, a[i][j]) for i in range(n)]) for j in range(n)
-        ]
-        self._set(n, tuple(coefficients))
-
-    @classmethod
-    def _from_coefficients(cls, n: int, coefficients: Sequence[Polynomial]) -> "AffineVectorField":
-        """Internal constructor; the coefficients must be affine polynomials in n variables."""
-        return cls.__new__(cls)._set(n, tuple(coefficients))
-
-    @classmethod
-    def zero(cls, n: int) -> "AffineVectorField":
-        return cls._from_coefficients(n, [Polynomial.zero(n)] * n)
+    @property
+    def n(self) -> int:
+        return len(self._fields()[0])
 
     @property
     def constant(self) -> tuple[Fraction, ...]:
-        """constant[j] is the constant term of the coefficient of d/dx_(j+1)."""
-        return tuple(p.terms.get((), Fraction(0)) for p in self.coefficients)
+        """constant[j] is the constant term of polynomial j."""
+        return tuple(p.terms.get((), Fraction(0)) for p in self._fields()[0])
 
     @property
     def linear(self) -> tuple[tuple[Fraction, ...], ...]:
-        """linear[i][j] is the coefficient of x_(i+1) d/dx_(j+1)."""
+        """linear[i][j] is the coefficient of x_(i+1) in polynomial j."""
+        polys = self._fields()[0]
         return tuple(
-            tuple(p.terms.get(((i, 1),), Fraction(0)) for p in self.coefficients)
-            for i in range(1, self.n + 1)
+            tuple(p.terms.get(((i, 1),), Fraction(0)) for p in polys) for i in range(1, len(polys) + 1)
         )
+
+
+class AffineVectorField(_Affine):
+    """A degree-<=1 vector field sum_j coefficients[j-1] d/dx_j, built from its coefficients."""
+
+    __slots__ = ("coefficients",)
+
+    @classmethod
+    def zero(cls, n: int) -> "AffineVectorField":
+        return cls([Polynomial.zero(n)] * n)
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply the derivation: X p = sum_j X_j dp/dx_j.
@@ -124,13 +124,11 @@ class AffineVectorField(_Frozen):
     def __add__(self, other: "AffineVectorField") -> "AffineVectorField":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return self._from_coefficients(
-            self.n, [a + b for a, b in zip(self.coefficients, other.coefficients)]
-        )
+        return AffineVectorField([a + b for a, b in zip(self.coefficients, other.coefficients)])
 
     def scale(self, factor: Scalar) -> "AffineVectorField":
         f = Fraction(factor)
-        return self._from_coefficients(self.n, [a * f for a in self.coefficients])
+        return AffineVectorField([a * f for a in self.coefficients])
 
     def is_zero(self) -> bool:
         return not any(self.coefficients)
@@ -142,7 +140,7 @@ def coordinate_field(n: int, j: int) -> AffineVectorField:
         raise ValueError(f"index {j} out of range 1..{n}")
     coefficients = [Polynomial.zero(n)] * n
     coefficients[j - 1] = Polynomial.constant(n, 1)
-    return AffineVectorField._from_coefficients(n, coefficients)
+    return AffineVectorField(coefficients)
 
 
 def cayley_fields(n: int) -> list[AffineVectorField]:
@@ -155,7 +153,7 @@ def cayley_fields(n: int) -> list[AffineVectorField]:
         raise ValueError("need n >= 2")
     zero, one, xs = Polynomial.zero(n), Polynomial.constant(n, 1), variables(n)
     return [
-        AffineVectorField._from_coefficients(n, [zero] * (p - 1) + [one] + xs[: n - p])
+        AffineVectorField([zero] * (p - 1) + [one] + xs[: n - p])
         for p in range(1, n)
     ]
 
@@ -164,7 +162,7 @@ def euler_field(n: int) -> AffineVectorField:
     """The weighted scaling field sum_h h x_h d/dx_h (weight h on x_h)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return AffineVectorField._from_coefficients(n, [x * h for h, x in enumerate(variables(n), 1)])
+    return AffineVectorField([x * h for h, x in enumerate(variables(n), 1)])
 
 
 def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
@@ -174,27 +172,13 @@ def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
     """
     if x.n != y.n:
         raise ValueError("dimension mismatch")
-    return AffineVectorField._from_coefficients(
-        x.n, [x.apply(yj) - y.apply(xj) for xj, yj in zip(x.coefficients, y.coefficients)]
-    )
+    return AffineVectorField([x.apply(yj) - y.apply(xj) for xj, yj in zip(x.coefficients, y.coefficients)])
 
 
-class AffineTransformation(_Frozen):
-    """An affine map x_j -> images[j-1], given by n polynomials of degree <= 1 in n variables."""
+class AffineTransformation(_Affine):
+    """An affine map x_j -> images[j-1], built from its n images."""
 
     __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[Polynomial]):
-        images = tuple(images)
-        if any(q.n != len(images) for q in images):
-            raise ValueError("an affine map needs n images in the same n variables")
-        if any(q.total_degree() > 1 for q in images):
-            raise ValueError("an affine map needs images of degree <= 1")
-        self._set(images)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
 
     @classmethod
     def identity(cls, n: int) -> "AffineTransformation":
@@ -210,14 +194,12 @@ class AffineTransformation(_Frozen):
         return AffineTransformation([q.substitute(self.images) for q in other.images])
 
     def inverse(self) -> "AffineTransformation":
-        """x -> M^-1 (x - c) for the map x -> M x + c; ValueError if M is singular."""
-        n = self.n
-        rows = linalg.invert([[q.coefficient({i: 1}) for i in range(1, n + 1)] for q in self.images])
-        c = [q.coefficient({}) for q in self.images]
+        """y -> (y - c) L^-1, undoing x -> x L + c on row vectors (L = linear); ValueError if singular."""
+        n, c = self.n, self.constant
         images = []
-        for row in rows:
-            shift = -sum(v * cj for v, cj in zip(row, c))
-            images.append(Polynomial(n, [({}, shift)] + [({i: 1}, v) for i, v in enumerate(row, 1)]))
+        for column in zip(*linalg.invert(self.linear)):
+            shift = -sum(v * ci for v, ci in zip(column, c))
+            images.append(Polynomial(n, [({}, shift)] + [({i: 1}, v) for i, v in enumerate(column, 1)]))
         return AffineTransformation(images)
 
 
@@ -352,7 +334,7 @@ def _eigen_system(p: Polynomial, include_constant: bool) -> SymmetryAlgebra:
         coefficients = [
             Polynomial._raw(n, {key: v for key, v in zip(keys, vec[1 + j :: n]) if v}) for j in range(n)
         ]
-        field = AffineVectorField._from_coefficients(n, coefficients)
+        field = AffineVectorField(coefficients)
         if field.apply(p) != p * vec[0]:
             raise RuntimeError("solver produced a field violating its eigen-relation")
         fields.append(field)
@@ -374,7 +356,9 @@ def isotropy_at_origin(p: Polynomial) -> SymmetryAlgebra:
 
 
 def span_contains(algebra: SymmetryAlgebra, fields: Sequence[AffineVectorField]) -> bool:
-    """True iff every given field lies in the rational span of the basis."""
+    """True iff every given field lies in the rational span of the basis; ValueError if their n differ."""
+    if len({f.n for f in (*algebra.basis, *fields)}) > 1:
+        raise ValueError("dimension mismatch")
     base_rows = [f.flatten() for f in algebra.basis]
     base_rank = linalg.rank(base_rows)
     return linalg.rank(base_rows + [f.flatten() for f in fields]) == base_rank

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,8 @@ import pytest
 from cayley import cli
 from cayley.poly import Polynomial, poly_to_json_dict
 from cayley.symmetry import AffineVectorField, SymmetryAlgebra, span_contains
+
+from test_symmetry import affine_polys
 
 GOLDEN_PLAIN = {
     3: "x3 = x1*x2 - 1/3*x1^3",
@@ -126,10 +130,24 @@ def test_generate_variant(capsys):
 
 
 def test_generate_bad_b(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["generate", "--n", "3", "--b", "nonsense"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # --b takes [sign]digits[/digits] only: Fraction would also parse the exponent
+    # form, which alone takes seconds at this size.
+    for b in ("nonsense", "1e10000000", "1" * 1001, "1/" + "1" * 1001, "0.5", "1_000", "1/0"):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--n", "3", "--b", b])
+        assert exc.value.code == 2 and time.perf_counter() - start < 1
+        assert "not a rational number" in capsys.readouterr().err
+
+
+def test_b_whose_coefficients_pass_the_int_to_str_limit(capsys):
+    # At b = 10^300 the member for n = 20 has coefficients longer than the
+    # interpreter's default int-to-str limit; main lifts it while it runs.
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, ["generate", "--n", "20", "--b", "1" + "0" * 300])
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    assert out.startswith("x20 = x1*x19 + ")
+    assert max(len(digits) for digits in re.findall("[0-9]+", out)) > limit
 
 
 @pytest.mark.parametrize("command", ["generate", "symmetries", "invariants"])
@@ -316,11 +334,10 @@ def test_symmetries_variant_isotropy_subreport(capsys):
 
 
 def _field_from_json(entry):
-    return AffineVectorField(
-        entry["n"],
+    return AffineVectorField(affine_polys(
         [Fraction(v) for v in entry["constant"]],
         [[Fraction(v) for v in row] for row in entry["linear"]],
-    )
+    ))
 
 
 def test_symmetries_from_file_contains_rotation(capsys, tmp_path):
@@ -333,7 +350,7 @@ def test_symmetries_from_file_contains_rotation(capsys, tmp_path):
     assert data["source"] == "file"
     basis = tuple(_field_from_json(entry) for entry in data["basis"])
     algebra = SymmetryAlgebra(basis, tuple(Fraction(0) for _ in basis))
-    rotation = AffineVectorField(3, [0, 0, 0], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    rotation = AffineVectorField(affine_polys([0, 0, 0], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
     assert span_contains(algebra, [rotation])
 
 
@@ -382,6 +399,17 @@ def test_symmetries_file_non_integer(capsys, tmp_path, data):
     # Each of these was once truncated by int() and solved for another polynomial.
     path = tmp_path / "non_integer.json"
     path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symmetries", "--file", str(path)])
+    assert exc.value.code == 2
+    assert "cannot read polynomial file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num", ["1" * 4301, '"' + "1" * 4301 + '"'])
+def test_symmetries_file_integer_digits_are_bounded(capsys, tmp_path, num):
+    # main lifts the interpreter's int-to-str limit, so the bound is the parser's own.
+    path = tmp_path / "long.json"
+    path.write_text('{"n": 2, "terms": [{"exps": [[1, 1]], "num": ' + num + ', "den": "1"}]}')
     with pytest.raises(SystemExit) as exc:
         cli.main(["symmetries", "--file", str(path)])
     assert exc.value.code == 2

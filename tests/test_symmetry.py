@@ -38,21 +38,22 @@ from oracles import (
 )
 
 
+def affine_polys(constant, linear):
+    """The n polynomials constant[j] + sum_i linear[i][j] x_(i+1), j = 0..n-1."""
+    n = len(constant)
+    return [Polynomial(n, [({}, constant[j])] + [({i + 1: 1}, linear[i][j]) for i in range(n)]) for j in range(n)]
+
+
 def rand_field(rng, n):
-    return AffineVectorField(
-        n,
+    return AffineVectorField(affine_polys(
         [Fraction(rng.randint(-3, 3)) for _ in range(n)],
         [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)],
-    )
+    ))
 
 
 def map_from_matrix(matrix, translation):
     """The map x -> x M + v on row vectors, as its image polynomials."""
-    n = len(translation)
-    return AffineTransformation(
-        Polynomial(n, [({}, translation[j])] + [({i + 1: 1}, matrix[i][j]) for i in range(n)])
-        for j in range(n)
-    )
+    return AffineTransformation(affine_polys(translation, matrix))
 
 
 def rand_params(rng, n):
@@ -106,7 +107,7 @@ def rand_affine_field(rng, n):
 
     constant = [entry() for _ in range(n)]
     constant[rng.randrange(n)] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
-    return AffineVectorField(n, constant, [[entry() for _ in range(n)] for _ in range(n)])
+    return AffineVectorField(affine_polys(constant, [[entry() for _ in range(n)] for _ in range(n)]))
 
 
 def rand_sparse_poly(rng, n, max_degree=4, max_terms=6):
@@ -201,7 +202,7 @@ def test_exp_field_matches_matrix_power_oracle():
             linear = [[entry() if j > i else Fraction(0) for j in range(n)] for i in range(n)]
             t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             matrix, translation = nilpotent_flow(constant, linear, t)
-            flow = exp_field(AffineVectorField(n, constant, linear), t)
+            flow = exp_field(AffineVectorField(affine_polys(constant, linear)), t)
             assert flow == map_from_matrix(matrix, translation)
 
 
@@ -223,13 +224,15 @@ def test_weight_scaling_rescales_polynomial():
 
 
 def test_affine_transformation_rejects_malformed_images():
+    # Maps and fields share one constructor check.
     x1, x2, x3 = variables(3)
-    with pytest.raises(ValueError, match="degree"):
-        AffineTransformation([x1 * x2, x2, x3])
-    # One image in another space; two images in 3-space.
-    for images in ([x1, x2, Polynomial.variable(2, 1)], [x1, x2]):
-        with pytest.raises(ValueError, match="variables"):
-            AffineTransformation(images)
+    for cls in (AffineTransformation, AffineVectorField):
+        with pytest.raises(ValueError, match="degree"):
+            cls([x1 * x2, x2, x3])
+        # One polynomial in another space; two polynomials in 3-space.
+        for polys in ([x1, x2, Polynomial.variable(2, 1)], [x1, x2]):
+            with pytest.raises(ValueError, match="variables"):
+                cls(polys)
     with pytest.raises(ValueError, match="dimension"):
         AffineTransformation.identity(2).then(AffineTransformation.identity(3))
 
@@ -312,6 +315,8 @@ def test_symmetry_algebra_eigenrelations_hold():
         algebra = symmetry_algebra(phi)
         for field, c in zip(algebra.basis, algebra.eigenvalues):
             assert field.apply(phi) == phi * c
+            # The solver's coefficient polynomials are in canonical form.
+            assert AffineVectorField(affine_polys(field.constant, field.linear)) == field
 
 
 def seeded_polys(seed):
@@ -349,7 +354,7 @@ def test_symmetry_algebra_dimension_matches_dense_oracle():
 def test_symmetry_algebra_of_round_paraboloid():
     p = Polynomial(3, [({1: 2}, 1), ({2: 2}, 1), ({3: 1}, -1)])
     algebra = symmetry_algebra(p)
-    rotation = AffineVectorField(3, [0, 0, 0], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    rotation = AffineVectorField(affine_polys([0, 0, 0], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
     assert rotation.apply(p) == Polynomial.zero(3)
     assert span_contains(algebra, [rotation])
 
@@ -379,8 +384,8 @@ def test_isotropy_of_hyperbolic_quadric():
     p = Polynomial(3, [({1: 1, 2: 1}, 1), ({3: 1}, -1)])
     iso = isotropy_at_origin(p)
     assert iso.dimension == 2
-    scale_x1 = AffineVectorField(3, [0, 0, 0], [[1, 0, 0], [0, 0, 0], [0, 0, 1]])
-    scale_x2 = AffineVectorField(3, [0, 0, 0], [[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    scale_x1 = AffineVectorField(affine_polys([0, 0, 0], [[1, 0, 0], [0, 0, 0], [0, 0, 1]]))
+    scale_x2 = AffineVectorField(affine_polys([0, 0, 0], [[0, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert span_contains(iso, [scale_x1, scale_x2])
 
 
@@ -406,6 +411,17 @@ def test_span_contains_rejects_outside_fields():
     assert not span_contains(algebra, [coordinate_field(3, 1)])
 
 
+def test_span_contains_refuses_fields_of_another_dimension():
+    # Flattened, this 2-dimensional field reads as coordinates of a 3-dimensional one.
+    field = AffineVectorField(affine_polys([0, 1], [[0, 0], [0, 1]]))
+    for algebra, fields in (
+        (symmetry_algebra(cayley_poly(3)), [field]),
+        (SymmetryAlgebra((), ()), [field, euler_field(3)]),
+    ):
+        with pytest.raises(ValueError, match="dimension"):
+            span_contains(algebra, fields)
+
+
 def test_field_json_shape():
     data = field_to_json_dict(cayley_fields(3)[1], Fraction(0))
     assert data == {
@@ -425,7 +441,7 @@ small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 def fields(draw, n):
     constant = draw(st.lists(small_rationals, min_size=n, max_size=n))
     row = st.lists(small_rationals, min_size=n, max_size=n)
-    return AffineVectorField(n, constant, draw(st.lists(row, min_size=n, max_size=n)))
+    return AffineVectorField(affine_polys(constant, draw(st.lists(row, min_size=n, max_size=n))))
 
 
 @st.composite
@@ -480,7 +496,7 @@ def test_bracket_acts_as_commutator_of_derivations(case):
 def test_field_round_trips_through_constant_and_linear(case):
     (x, y), _ = case
     for f in (x, commutator(x, y), x + y.scale(Fraction(-1, 2))):
-        assert AffineVectorField(f.n, f.constant, f.linear) == f
+        assert AffineVectorField(affine_polys(f.constant, f.linear)) == f
 
 
 @property_settings

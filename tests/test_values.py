@@ -12,17 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from cayley.generate import cayley_poly, variant_surface_4
 from cayley.geometry import Signature, SymmetricTensor
 from cayley.poly import Polynomial, PolyMatrix, variables
-from cayley.symmetry import (
-    AffineTransformation,
-    AffineVectorField,
-    SymmetryAlgebra,
-    euler_field,
-    isotropy_at_origin,
-    symmetry_algebra,
-)
+from cayley.symmetry import AffineTransformation, AffineVectorField, SymmetryAlgebra, euler_field
 
 X1, X2 = variables(2)
 
@@ -30,7 +22,7 @@ X1, X2 = variables(2)
 CASES = {
     SymmetricTensor: ((2, 2, {(2, 1): Fraction(1, 2)}), (2, 2, {(1, 1): 1})),
     Signature: ((1, 1, 0), (1, 0, 1)),
-    AffineVectorField: ((2, [1, 0], [[0, 1], [0, 0]]), (2, [0, 1], [[0, 1], [0, 0]])),
+    AffineVectorField: (([Polynomial.constant(2, 1), X1],), ([X2, X1],)),
     AffineTransformation: (([X2 + Polynomial.constant(2, 1), X1],), ([X1, X2],)),
     SymmetryAlgebra: (((euler_field(2),), (Fraction(2),)), ((), ())),
     PolyMatrix: (([[X1, X2]],), ([[X2, X1]],)),
@@ -99,19 +91,3 @@ def test_keyword_construction_of_the_records():
     assert Signature(positive=2, negative=1, zero=0) == Signature(2, 1, 0)
     assert SymmetryAlgebra(basis=(), eigenvalues=()) == SymmetryAlgebra((), ())
 
-
-def test_public_constructor_equals_the_internal_builder():
-    x1, x2, _ = variables(3)
-    one = Polynomial.constant(3, 1)
-    built = AffineVectorField(3, [1, 0, Fraction(-2, 3)], [[0, 1, 0], [0, 0, 2], [0, 0, 0]])
-    raw = AffineVectorField._from_coefficients(3, [one, x1, x2 * 2 - one * Fraction(2, 3)])
-    assert built == raw and hash(built) == hash(raw)
-    assert AffineVectorField(3, [0] * 3, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == euler_field(3)
-
-
-@pytest.mark.parametrize("p", [cayley_poly(n) for n in range(3, 7)] + [variant_surface_4()])
-def test_solver_fields_equal_their_public_construction(p):
-    # The solver builds its basis fields from the nullspace vectors directly.
-    for algebra in (symmetry_algebra(p), isotropy_at_origin(p)):
-        for field in algebra.basis:
-            assert AffineVectorField(field.n, field.constant, field.linear) == field
