@@ -357,11 +357,10 @@ def isotropy_at_origin(p: Polynomial) -> SymmetryAlgebra:
 
 def span_contains(algebra: SymmetryAlgebra, fields: Sequence[AffineVectorField]) -> bool:
     """True iff every given field lies in the rational span of the basis; ValueError if their n differ."""
-    if len({f.n for f in (*algebra.basis, *fields)}) > 1:
+    rows = [f.flatten() for f in (*algebra.basis, *fields)]
+    if len({len(row) for row in rows}) > 1:  # a field on n-space has n + n^2 coordinates
         raise ValueError("dimension mismatch")
-    base_rows = [f.flatten() for f in algebra.basis]
-    base_rank = linalg.rank(base_rows)
-    return linalg.rank(base_rows + [f.flatten() for f in fields]) == base_rank
+    return linalg.rank(rows) == linalg.rank(rows[: algebra.dimension])
 
 
 def field_to_json_dict(field: AffineVectorField, eigenvalue: Fraction | None = None) -> dict:

@@ -405,7 +405,7 @@ def test_symmetries_file_non_integer(capsys, tmp_path, data):
     assert "cannot read polynomial file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("num", ["1" * 4301, '"' + "1" * 4301 + '"'])
+@pytest.mark.parametrize("num", ["1" * 4301, '"' + "1" * 4301 + '"'], ids=["literal", "string"])
 def test_symmetries_file_integer_digits_are_bounded(capsys, tmp_path, num):
     # main lifts the interpreter's int-to-str limit, so the bound is the parser's own.
     path = tmp_path / "long.json"

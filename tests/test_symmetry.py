@@ -41,7 +41,9 @@ from oracles import (
 def affine_polys(constant, linear):
     """The n polynomials constant[j] + sum_i linear[i][j] x_(i+1), j = 0..n-1."""
     n = len(constant)
-    return [Polynomial(n, [({}, constant[j])] + [({i + 1: 1}, linear[i][j]) for i in range(n)]) for j in range(n)]
+    return [
+        Polynomial(n, [({}, constant[j])] + [({i + 1: 1}, linear[i][j]) for i in range(n)]) for j in range(n)
+    ]
 
 
 def rand_field(rng, n):
