@@ -62,23 +62,24 @@ class _Affine(_Frozen):
         polys = tuple(polys)
         if any(q.n != len(polys) for q in polys):
             raise ValueError(f"{type(self).__name__} needs n polynomials in the same n variables")
-        if any(q.total_degree() > 1 for q in polys):
+        # A monomial of degree <= 1 is () or ((i, 1),).
+        if any(len(m) > 1 or m and m[0][1] > 1 for q in polys for m in q.terms):
             raise ValueError(f"{type(self).__name__} needs polynomials of degree <= 1")
         self._set(polys)
 
     @property
     def n(self) -> int:
-        return len(self._fields()[0])
+        return len(getattr(self, self.__slots__[0]))
 
     @property
     def constant(self) -> tuple[Fraction, ...]:
         """constant[j] is the constant term of polynomial j."""
-        return tuple(p.terms.get((), Fraction(0)) for p in self._fields()[0])
+        return tuple(p.terms.get((), Fraction(0)) for p in getattr(self, self.__slots__[0]))
 
     @property
     def linear(self) -> tuple[tuple[Fraction, ...], ...]:
         """linear[i][j] is the coefficient of x_(i+1) in polynomial j."""
-        polys = self._fields()[0]
+        polys = getattr(self, self.__slots__[0])
         return tuple(
             tuple(p.terms.get(((i, 1),), Fraction(0)) for p in polys) for i in range(1, len(polys) + 1)
         )
@@ -112,7 +113,7 @@ class AffineVectorField(_Affine):
                 for factor, value in factors.items():
                     key = mono_mul(lowered, factor) if factor else lowered
                     out[key] = out.get(key, 0) + coeff * exp * value
-        return Polynomial._raw(self.n, {m: c for m, c in out.items() if c})
+        return Polynomial._raw(p.n, {m: c for m, c in out.items() if c})
 
     def flatten(self) -> list[Fraction]:
         """Coordinates (constant, then linear row-major) for rank computations."""

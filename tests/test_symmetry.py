@@ -229,8 +229,9 @@ def test_affine_transformation_rejects_malformed_images():
     # Maps and fields share one constructor check.
     x1, x2, x3 = variables(3)
     for cls in (AffineTransformation, AffineVectorField):
-        with pytest.raises(ValueError, match="degree"):
-            cls([x1 * x2, x2, x3])
+        for polys in ([x1 * x2, x2, x3], [x1, x2, x3 * x3]):
+            with pytest.raises(ValueError, match="degree"):
+                cls(polys)
         # One polynomial in another space; two polynomials in 3-space.
         for polys in ([x1, x2, Polynomial.variable(2, 1)], [x1, x2]):
             with pytest.raises(ValueError, match="variables"):
