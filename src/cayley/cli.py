@@ -52,15 +52,22 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _n(text: str) -> int:
+    # ASCII digits only: int() would also take underscores, padding and other
+    # scripts' digits.  The digit bound keeps int() under its 4300-digit limit.
+    if not re.fullmatch(r"[0-9]{1,1000}", text):
+        raise argparse.ArgumentTypeError(f"expected N of at most 1000 digits, got {text!r}")
+    return int(text)
+
+
 def _n_range(text: str) -> range:
     """N or A..B as an ascending range, kept lazy so the guard sees it first."""
-    try:
-        bounds = [int(part) for part in text.split("..", 1)]
-        if bounds[-1] < bounds[0]:
-            raise ValueError
-        return range(bounds[0], bounds[-1] + 1)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}") from None
+    parts = text.split("..", 1)
+    if all(re.fullmatch(r"[0-9]{1,1000}", part) for part in parts):
+        low, high = int(parts[0]), int(parts[-1])
+        if low <= high:
+            return range(low, high + 1)
+    raise argparse.ArgumentTypeError(f"expected N or A..B of at most 1000 digits each, got {text!r}")
 
 
 def _guard_n(parser: argparse.ArgumentParser, worst: int, force: bool) -> None:
@@ -203,8 +210,9 @@ def _surface(parser, args) -> tuple[Polynomial, str]:
     The n guard runs before the polynomial is built; a --file polynomial
     is guarded once it is read.
     """
+    b = getattr(args, "b", None)
     if getattr(args, "file", None) is not None:
-        if args.n is not None or args.b is not None or args.variant:
+        if args.n is not None or b is not None or args.variant:
             parser.error("--file does not take --n, --b or --variant")
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
@@ -215,7 +223,7 @@ def _surface(parser, args) -> tuple[Polynomial, str]:
         _guard_n(parser, phi.n, args.force)
         return phi, "file"
     if args.variant:
-        if args.b is not None:
+        if b is not None:
             parser.error("--variant does not take --b")
         if args.n not in (None, 4):
             parser.error("the variant surface exists only for n = 4")
@@ -225,8 +233,8 @@ def _surface(parser, args) -> tuple[Polynomial, str]:
     if args.n < 1:
         parser.error("n must be a positive integer")
     _guard_n(parser, args.n, args.force)
-    if args.b:
-        return gen.family_poly(args.n, args.b), "family"
+    if b:
+        return gen.family_poly(args.n, b), "family"
     return gen.cayley_poly(args.n), "cayley"
 
 
@@ -257,21 +265,20 @@ def _cmd_verify(parser, args) -> int:
     if ns[0] < 3:
         parser.error("verify needs n >= 3")
     _guard_n(parser, ns[-1], args.force)
-    if args.variant and ns != range(4, 5):
-        parser.error("the variant surface exists only for n = 4")
+    surfaces = [_surface(parser, argparse.Namespace(**{**vars(args), "n": n})) for n in ns]
 
     reports = []
     overall = True
-    for n in ns:
-        phi = gen.variant_surface_4() if args.variant else gen.cayley_poly(n)
+    for phi, source in surfaces:
+        n, variant = phi.n, source == "variant"
         checks = []
         target_pass = True
         for name in names:
-            ok, detail = CHECKS[name](n, phi, args.variant)
+            ok, detail = CHECKS[name](n, phi, variant)
             checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
             target_pass = target_pass and ok
         target: dict = {"n": n}
-        if args.variant:
+        if variant:
             target["variant"] = True
         reports.append({"target": target, "checks": checks, "pass": target_pass})
         overall = overall and target_pass
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--variant", action="store_true", help="use the variant surface (n = 4)")
     common.add_argument("--force", action="store_true", help="bypass the large-n guard")
     surface = argparse.ArgumentParser(add_help=False)
-    surface.add_argument("--n", type=int, default=None, help="ambient dimension")
+    surface.add_argument("--n", type=_n, default=None, help="ambient dimension")
     surface.add_argument("--b", type=_rational, default=None, help="family parameter (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 

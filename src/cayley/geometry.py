@@ -52,12 +52,11 @@ class SymmetricTensor(_Frozen):
     def __init__(self, order: int, dim: int, entries: Mapping[IndexKey, Scalar] | None = None):
         if order < 0 or dim < 0:
             raise ValueError("order and dimension must be nonnegative")
-        canon: dict[IndexKey, Fraction] = {}
-        for key, value in (entries or {}).items():
-            v = Fraction(value)
-            if v:
-                canon[_canonical_key(key, order, dim)] = v
-        self._set(order, dim, canon)
+        entries = entries or {}
+        canon = {_canonical_key(key, order, dim): Fraction(value) for key, value in entries.items()}
+        if len(canon) < len(entries):
+            raise ValueError("two keys name the same index multiset")
+        self._set(order, dim, {key: v for key, v in canon.items() if v})
 
     def get(self, *indices: int) -> Fraction:
         """Component for any ordering of the indices (zero if absent)."""

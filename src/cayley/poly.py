@@ -173,10 +173,6 @@ class Polynomial(_Frozen):
             raise ValueError(f"variable index {index} out of range 1..{n}")
         return cls._raw(n, {((index, 1),): _ONE})
 
-    @classmethod
-    def monomial(cls, n: int, exps: ExpsLike, coeff: Scalar = 1) -> "Polynomial":
-        return cls(n, [(exps, coeff)])
-
     # -- basic queries -----------------------------------------------------
 
     def __bool__(self) -> bool:

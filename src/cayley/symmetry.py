@@ -90,10 +90,6 @@ class AffineVectorField(_Affine):
 
     __slots__ = ("coefficients",)
 
-    @classmethod
-    def zero(cls, n: int) -> "AffineVectorField":
-        return cls([Polynomial.zero(n)] * n)
-
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply the derivation: X p = sum_j X_j dp/dx_j.
 
@@ -180,10 +176,6 @@ class AffineTransformation(_Affine):
     """An affine map x_j -> images[j-1], built from its n images."""
 
     __slots__ = ("images",)
-
-    @classmethod
-    def identity(cls, n: int) -> "AffineTransformation":
-        return cls(variables(n))
 
     def apply(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
         return tuple(q.evaluate(point) for q in self.images)
@@ -364,14 +356,12 @@ def span_contains(algebra: SymmetryAlgebra, fields: Sequence[AffineVectorField])
     return linalg.rank(rows) == linalg.rank(rows[: algebra.dimension])
 
 
-def field_to_json_dict(field: AffineVectorField, eigenvalue: Fraction | None = None) -> dict:
+def field_to_json_dict(field: AffineVectorField, eigenvalue: Fraction) -> dict:
     """Pinned JSON form with rationals as num/den strings."""
-    data = {
+    return {
         "n": field.n,
         "constant": [str(v) for v in field.constant],
         "linear": [[str(v) for v in row] for row in field.linear],
+        "eigenvalue": str(eigenvalue),
     }
-    if eigenvalue is not None:
-        data["eigenvalue"] = str(eigenvalue)
-    return data
 

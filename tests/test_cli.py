@@ -39,6 +39,10 @@ GOLDEN_LATEX = {
 # exact kernels; it pins the report byte for byte.
 VERIFY_3_12_SHA256 = "de0282af68960a134614d4f898aae3f661de690b77c28d284858d4a449eaf8fb"
 
+# sha256 of the stdout of `verify --n 4 --variant`, recorded before verify
+# resolved its surfaces through the one route that the other commands take.
+VERIFY_VARIANT_SHA256 = "b130da56e0b94106aa5cd170e6146f2d9b2e3749b3817e2e75ee4f659f71d994"
+
 # sha256 of the stdout of `generate` in each format, concatenated over
 # --n 3..14, then `--n 8 --b=-7/3`, then `--variant`, recorded before plain
 # and LaTeX rendering moved to one shared loop; they pin the output byte for byte.
@@ -72,6 +76,12 @@ def test_verify_all_checks_stdout_is_pinned(capsys):
     code, out = run(capsys, ["verify", "--n", "3..12", "--checks", "all"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_3_12_SHA256
+
+
+def test_verify_variant_stdout_is_pinned(capsys):
+    code, out = run(capsys, ["verify", "--n", "4", "--variant"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_VARIANT_SHA256
 
 
 @pytest.mark.parametrize("fmt", sorted(GENERATE_SHA256))
@@ -138,6 +148,20 @@ def test_generate_bad_b(capsys):
             cli.main(["generate", "--n", "3", "--b", b])
         assert exc.value.code == 2 and time.perf_counter() - start < 1
         assert "not a rational number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "verify", "symmetries", "invariants"])
+def test_bad_n(capsys, command):
+    # --n takes at most 1000 ASCII digits (A..B for verify): int() would also take
+    # underscores, padding, a sign and other scripts' digits.
+    bad = ["nonsense", "1_0", " 3", "3 ", "+3", "-3", "\u0663", "3.0", "3..", "..4", "3...4", "9" * 1001]
+    if command == "verify":
+        bad += ["\u0663..\u0664", "3..4_0", "4..3", "3..4..5", "3.." + "9" * 1001]
+    for n in bad:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, f"--n={n}"])
+        assert exc.value.code == 2
+        assert "expected N" in capsys.readouterr().err
 
 
 def test_b_whose_coefficients_pass_the_int_to_str_limit(capsys):
@@ -264,7 +288,7 @@ def test_symmetries_file_is_guarded(capsys, tmp_path):
     assert "exceeds the guard" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["generate", "symmetries", "invariants"])
+@pytest.mark.parametrize("command", ["generate", "verify", "symmetries", "invariants"])
 def test_huge_n_is_guarded_before_a_surface_is_built(capsys, monkeypatch, command):
     # cayley_poly is family_poly at b = 0, so this also catches a Phi_n build.
     def refuse(*args):

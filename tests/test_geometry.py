@@ -56,6 +56,14 @@ def test_indicator_tensor_validation():
         indicator_tensor(5, 1)
 
 
+@pytest.mark.parametrize("second", [3, 0])
+def test_symmetric_tensor_refuses_two_orderings_of_one_multiset(second):
+    # Either value would win silently, and a zero would be dropped before the merge.
+    with pytest.raises(ValueError, match="same index multiset"):
+        SymmetricTensor(2, 2, {(1, 2): 1, (2, 1): second})
+    assert SymmetricTensor(2, 2, {(2, 1): second}).entries == ({(1, 2): second} if second else {})
+
+
 def test_taylor_tensor_quadratic_part():
     g = taylor_tensor(graph_of(cayley_poly(4)), 2)
     assert g.get(1, 3) == Fraction(1, 2)
@@ -89,7 +97,7 @@ def test_taylor_tensors_reconstruct_graph_function():
                 orderings = factorial(m)
                 for mult in exps.values():
                     orderings //= factorial(mult)
-                rebuilt = rebuilt + Polynomial.monomial(f.n, exps, value * orderings)
+                rebuilt = rebuilt + Polynomial(f.n, [(exps, value * orderings)])
         assert rebuilt == f
 
 
