@@ -256,20 +256,7 @@ class Polynomial(_Frozen):
         c = Fraction(scalar)
         return Polynomial._raw(self.n, {m: k / c for m, k in self.terms.items()})
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(self.n, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    # -- calculus and substitution -----------------------------------------
+    # -- calculus and evaluation -------------------------------------------
 
     def diff(self, index: int) -> "Polynomial":
         """Exact partial derivative with respect to x_index.
@@ -313,47 +300,6 @@ class Polynomial(_Frozen):
             dens.append(den)
         common = lcm(*dens)
         return Fraction(sum(num * (common // den) for num, den in zip(nums, dens)), common)
-
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Compose: replace x_i by images[i-1].  All images must share a space.
-
-        Horner's rule, one variable at a time, innermost (highest index)
-        first: the terms that agree below x_v form a polynomial in x_v whose
-        coefficients already have x_{v+1}, ... substituted, and it is folded
-        as (c_d q + c_{d-1}) q + ... with q the image of x_v.  Every product
-        is by one image, never by a power of one.
-        """
-        if len(images) != self.n:
-            raise ValueError(f"need {self.n} images, got {len(images)}")
-        if not images:
-            return self
-        m = images[0].n
-        for q in images:
-            if q.n != m:
-                raise ValueError("images live in different spaces")
-        level = {mono: Polynomial.constant(m, coeff) for mono, coeff in self.terms.items()}
-        for var in sorted(self.variables_used(), reverse=True):
-            q = images[var - 1]
-            by_rest: dict[Mono, dict[int, Polynomial]] = {}
-            for mono, coeff in level.items():
-                exp = mono[-1][1] if mono and mono[-1][0] == var else 0
-                by_rest.setdefault(mono[:-1] if exp else mono, {})[exp] = coeff
-            level = {}
-            for rest, by_exp in by_rest.items():
-                top = max(by_exp)
-                acc = by_exp[top]
-                for exp in range(top - 1, -1, -1):
-                    acc = acc * q
-                    if exp in by_exp:
-                        acc = acc + by_exp[exp]
-                level[rest] = acc
-        return level.get((), Polynomial.zero(m))
-
-    def extend(self, n_new: int) -> "Polynomial":
-        """Reinterpret in a larger ambient space (same terms)."""
-        if n_new < self.n:
-            raise ValueError("extend cannot shrink the ambient space")
-        return Polynomial._raw(n_new, dict(self.terms))
 
     def restrict(self, n_new: int) -> "Polynomial":
         """Reinterpret in a smaller space; fails if dropped variables occur."""

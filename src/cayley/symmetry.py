@@ -1,4 +1,4 @@
-"""Affine vector fields, exact flows, and affine symmetry algebras.
+"""Affine vector fields, the orbit map of the Cayley family, and affine symmetry algebras.
 
 An affine vector field on N-space is a derivation
 
@@ -6,14 +6,8 @@ An affine vector field on N-space is a derivation
 
 built from and stored as its N coefficient polynomials X_j, each of
 degree <= 1; the constant vector and the matrix ``linear`` are views read
-off them.  The bracket and the flow are computed with the derivation
-itself: [X, Y] has coefficients X(Y_j) - Y(X_j), and when the linear part
-is nilpotent the time-t flow is the finite Lie series
-x_j -> sum_k t^k/k! X^k(x_j), an affine map.  An affine map is built and
-stored the same way, from the n images x_j -> T_j(x) of the coordinates:
-it acts on a point by evaluation, on a polynomial p by
-p.substitute(T.images), and composes by substitution.  Both classes share
-one constructor check and the views, in the private base _Affine.
+off them.  The bracket is computed with the derivation itself: [X, Y] has
+coefficients X(Y_j) - Y(X_j).
 
 For the commuting shift fields X_p of the Cayley family no matrix is
 needed: reading a point as the series 1 + x_1 s + ... + x_n s^n, the orbit
@@ -36,15 +30,10 @@ from . import linalg
 from .poly import Mono, Polynomial, Scalar, _Frozen, mono_mul, variables
 
 __all__ = [
-    "AffineTransformation", "AffineVectorField", "InexactExponentialError", "SymmetryAlgebra",
-    "cayley_fields", "commutator", "coordinate_field", "euler_field", "exp_field",
+    "AffineVectorField", "SymmetryAlgebra", "cayley_fields", "commutator", "euler_field",
     "field_to_json_dict", "isotropy_at_origin", "orbit_point", "parameters_for_point",
-    "span_contains", "symmetry_algebra", "weight_scaling",
+    "span_contains", "symmetry_algebra",
 ]
-
-
-class InexactExponentialError(ValueError):
-    """Raised when a field's linear part is not nilpotent, so its flow is not polynomial."""
 
 
 def _freeze_vector(v: Sequence[Scalar], n: int, what: str) -> tuple[Fraction, ...]:
@@ -53,42 +42,37 @@ def _freeze_vector(v: Sequence[Scalar], n: int, what: str) -> tuple[Fraction, ..
     return tuple(Fraction(x) for x in v)
 
 
-class _Affine(_Frozen):
-    """n polynomials of degree <= 1 in the same n variables, kept in the one slot of a subclass."""
+class AffineVectorField(_Frozen):
+    """A degree-<=1 vector field sum_j coefficients[j-1] d/dx_j, built from its
+    coefficients: n polynomials of degree <= 1 in the same n variables."""
 
-    __slots__ = ()
+    __slots__ = ("coefficients",)
 
-    def __init__(self, polys: Sequence[Polynomial]):
-        polys = tuple(polys)
-        if any(q.n != len(polys) for q in polys):
+    def __init__(self, coefficients: Sequence[Polynomial]):
+        coefficients = tuple(coefficients)
+        if any(q.n != len(coefficients) for q in coefficients):
             raise ValueError(f"{type(self).__name__} needs n polynomials in the same n variables")
         # A monomial of degree <= 1 is () or ((i, 1),).
-        if any(len(m) > 1 or m and m[0][1] > 1 for q in polys for m in q.terms):
+        if any(len(m) > 1 or m and m[0][1] > 1 for q in coefficients for m in q.terms):
             raise ValueError(f"{type(self).__name__} needs polynomials of degree <= 1")
-        self._set(polys)
+        self._set(coefficients)
 
     @property
     def n(self) -> int:
-        return len(getattr(self, self.__slots__[0]))
+        return len(self.coefficients)
 
     @property
     def constant(self) -> tuple[Fraction, ...]:
-        """constant[j] is the constant term of polynomial j."""
-        return tuple(p.terms.get((), Fraction(0)) for p in getattr(self, self.__slots__[0]))
+        """constant[j] is the constant term of coefficients[j]."""
+        return tuple(p.terms.get((), Fraction(0)) for p in self.coefficients)
 
     @property
     def linear(self) -> tuple[tuple[Fraction, ...], ...]:
-        """linear[i][j] is the coefficient of x_(i+1) in polynomial j."""
-        polys = getattr(self, self.__slots__[0])
+        """linear[i][j] is the coefficient of x_(i+1) in coefficients[j]."""
         return tuple(
-            tuple(p.terms.get(((i, 1),), Fraction(0)) for p in polys) for i in range(1, len(polys) + 1)
+            tuple(p.terms.get(((i, 1),), Fraction(0)) for p in self.coefficients)
+            for i in range(1, self.n + 1)
         )
-
-
-class AffineVectorField(_Affine):
-    """A degree-<=1 vector field sum_j coefficients[j-1] d/dx_j, built from its coefficients."""
-
-    __slots__ = ("coefficients",)
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply the derivation: X p = sum_j X_j dp/dx_j.
@@ -113,31 +97,10 @@ class AffineVectorField(_Affine):
 
     def flatten(self) -> list[Fraction]:
         """Coordinates (constant, then linear row-major) for rank computations."""
-        flat = list(self.constant)
-        for row in self.linear:
-            flat.extend(row)
-        return flat
-
-    def __add__(self, other: "AffineVectorField") -> "AffineVectorField":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return AffineVectorField([a + b for a, b in zip(self.coefficients, other.coefficients)])
-
-    def scale(self, factor: Scalar) -> "AffineVectorField":
-        f = Fraction(factor)
-        return AffineVectorField([a * f for a in self.coefficients])
+        return [*self.constant, *(v for row in self.linear for v in row)]
 
     def is_zero(self) -> bool:
         return not any(self.coefficients)
-
-
-def coordinate_field(n: int, j: int) -> AffineVectorField:
-    """The translation field d/dx_j."""
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range 1..{n}")
-    coefficients = [Polynomial.zero(n)] * n
-    coefficients[j - 1] = Polynomial.constant(n, 1)
-    return AffineVectorField(coefficients)
 
 
 def cayley_fields(n: int) -> list[AffineVectorField]:
@@ -170,64 +133,6 @@ def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
     if x.n != y.n:
         raise ValueError("dimension mismatch")
     return AffineVectorField([x.apply(yj) - y.apply(xj) for xj, yj in zip(x.coefficients, y.coefficients)])
-
-
-class AffineTransformation(_Affine):
-    """An affine map x_j -> images[j-1], built from its n images."""
-
-    __slots__ = ("images",)
-
-    def apply(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        return tuple(q.evaluate(point) for q in self.images)
-
-    def then(self, other: "AffineTransformation") -> "AffineTransformation":
-        """The composite map: apply self first, then other."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return AffineTransformation([q.substitute(self.images) for q in other.images])
-
-    def inverse(self) -> "AffineTransformation":
-        """y -> (y - c) L^-1, undoing x -> x L + c on row vectors (L = linear); ValueError if singular."""
-        n, c = self.n, self.constant
-        images = []
-        for column in zip(*linalg.invert(self.linear)):
-            shift = -sum(v * ci for v, ci in zip(column, c))
-            images.append(Polynomial(n, [({}, shift)] + [({i: 1}, v) for i, v in enumerate(column, 1)]))
-        return AffineTransformation(images)
-
-
-def exp_field(field: AffineVectorField, t: Scalar) -> AffineTransformation:
-    """The exact time-t flow of a field whose linear part is nilpotent.
-
-    Coordinate j of the flow is the Lie series sum_k t^k/k! X^k(x_j).  With
-    A the linear part, X^k(x_j) has linear part A^k, so the series is finite
-    exactly when A is nilpotent, that is when X^(n+1)(x_j) = 0 for every j;
-    this is decided before t enters, so it holds for every t, including 0.
-    """
-    t = Fraction(t)
-    n = field.n
-    images = []
-    for x in variables(n):
-        series = [x]
-        while series[-1] and len(series) <= n + 1:
-            series.append(field.apply(series[-1]))
-        if series[-1]:
-            raise InexactExponentialError("inexact exponential: linear part is not nilpotent")
-        image, weight = Polynomial.zero(n), Fraction(1)
-        for k, term in enumerate(series):
-            if k:
-                weight = weight * t / k
-            image = image + term * weight
-        images.append(image)
-    return AffineTransformation(images)
-
-
-def weight_scaling(n: int, lam: Scalar) -> AffineTransformation:
-    """The exact diagonal map x_h -> lam^h x_h (lam nonzero)."""
-    lam = Fraction(lam)
-    if not lam:
-        raise ValueError("scaling parameter must be nonzero")
-    return AffineTransformation([x * lam**h for h, x in enumerate(variables(n), 1)])
 
 
 def _series_exp(a: Sequence[Scalar]) -> tuple[Fraction, ...]:

@@ -10,10 +10,11 @@ counts, the literal composition sum for the defining polynomials and the closed-
 coefficient of each partition, and matrix power sums for the flow of an
 affine field.  The literal kernels at the end
 compute by their definitions what the library computes by shortcuts:
-evaluation with a Fraction per product, substitution term by term from
-a table of powers of the images, the series exponential as the
+evaluation with a Fraction per product, the series exponential as the
 sum of the powers A^m/m!, a field applied as a sum of polynomial products,
-and the Pick invariant as a double sum over ordered index triples.
+and the Pick invariant as a double sum over ordered index triples.  One
+more, substitution term by term from a table of powers of the images,
+pulls a polynomial back by a flow, which the library does not compute.
 """
 
 from __future__ import annotations
@@ -297,18 +298,22 @@ def literal_evaluate(p, point) -> Fraction:
 
 def literal_substitute(p, images):
     """p with x_i replaced by images[i-1]: each term multiplied out separately,
-    from a table of the powers images[i-1] ** e that the terms use."""
+    from a table of the powers images[i-1]^e that the terms use, each formed
+    by repeated products."""
     if not images:
         return p
-    one = images[0] ** 0
+    one = type(images[0]).constant(images[0].n, 1)
     powers = {}
     result = one * 0
     for mono, coeff in p.terms.items():
         term = one * coeff
-        for key in mono:
-            if key not in powers:
-                powers[key] = images[key[0] - 1] ** key[1]
-            term = term * powers[key]
+        for var, exp in mono:
+            if (var, exp) not in powers:
+                power = images[var - 1]
+                for _ in range(exp - 1):
+                    power = power * images[var - 1]
+                powers[var, exp] = power
+            term = term * powers[var, exp]
         result = result + term
     return result
 

@@ -29,9 +29,9 @@ from cayley.geometry import (
 )
 from cayley.poly import Polynomial
 from cayley.symmetry import (
+    AffineVectorField,
     cayley_fields,
     commutator,
-    coordinate_field,
     euler_field,
     isotropy_at_origin,
     orbit_point,
@@ -127,10 +127,11 @@ def test_criterion_05_tracefree_tensors_and_parallel_normals():
             rows = [[f.diff(i).diff(j).evaluate(pt) for j in range(1, n)] for i in range(1, n)]
             assert hess.coefficient({}) == scalar_det(rows)
         for n in range(3, 13):
-            d_n = coordinate_field(n, n)
+            zeros = [Polynomial.zero(n)] * (n - 1)
+            d_n = AffineVectorField(zeros + [Polynomial.constant(n, 1)])
             for field in cayley_fields(n):
                 assert commutator(field, d_n).is_zero()
-            assert commutator(d_n, euler_field(n)) == d_n.scale(n)
+            assert commutator(d_n, euler_field(n)) == AffineVectorField(zeros + [Polynomial.constant(n, n)])
 
     _criterion(5, "trace-free tensors; constant Hessian, n = 3..20; grading brackets", 60, body)
 

@@ -128,7 +128,7 @@ def test_graph_function_examples():
 
 def test_graph_function_definitional_identity():
     for n in range(2, 11):
-        f = graph_of(cayley_poly(n)).extend(n)
+        f = Polynomial(n, graph_of(cayley_poly(n)).terms.items())
         assert cayley_poly(n) + Polynomial.variable(n, n) == f
 
 

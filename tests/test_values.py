@@ -14,7 +14,7 @@ import pytest
 
 from cayley.geometry import Signature, SymmetricTensor
 from cayley.poly import Polynomial, PolyMatrix, variables
-from cayley.symmetry import AffineTransformation, AffineVectorField, SymmetryAlgebra, euler_field
+from cayley.symmetry import AffineVectorField, SymmetryAlgebra, euler_field
 
 X1, X2 = variables(2)
 
@@ -23,7 +23,6 @@ CASES = {
     SymmetricTensor: ((2, 2, {(2, 1): Fraction(1, 2)}), (2, 2, {(1, 1): 1})),
     Signature: ((1, 1, 0), (1, 0, 1)),
     AffineVectorField: (([Polynomial.constant(2, 1), X1],), ([X2, X1],)),
-    AffineTransformation: (([X2 + Polynomial.constant(2, 1), X1],), ([X1, X2],)),
     SymmetryAlgebra: (((euler_field(2),), (Fraction(2),)), ((), ())),
     PolyMatrix: (([[X1, X2]],), ([[X2, X1]],)),
 }
