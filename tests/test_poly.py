@@ -20,12 +20,15 @@ from cayley.poly import (
 )
 from cayley.generate import cayley_poly, family_poly
 from cayley.geometry import graph_of
+from cayley.symmetry import cayley_fields
 
 from oracles import (
     cofactor_det,
     dense_diff,
     dense_from_sparse,
     literal_evaluate,
+    literal_substitute,
+    nilpotent_flow,
     scalar_det,
 )
 
@@ -103,6 +106,19 @@ def test_derivative_index_out_of_range():
         cayley_poly(3).diff(4)
     with pytest.raises(ValueError):
         cayley_poly(3).diff(0)
+
+
+def test_substitute_flow_invariance():
+    # The first shift field annihilates the cubic surface polynomial, so its
+    # time-1 flow, read off the matrix-power oracle as image polynomials,
+    # leaves the polynomial itself unchanged.
+    phi3 = cayley_poly(3)
+    field = cayley_fields(3)[0]
+    matrix, translation = nilpotent_flow(field.constant, field.linear, Fraction(1))
+    images = [
+        Polynomial(3, [({}, translation[j])] + [({i + 1: 1}, matrix[i][j]) for i in range(3)]) for j in range(3)
+    ]
+    assert literal_substitute(phi3, images) == phi3
 
 
 def test_evaluate_orbit_flow_point():
