@@ -7,6 +7,7 @@ verify      run property checks over a range of dimensions, JSON report
 symmetries  solve for the affine symmetry algebra of a surface, JSON
 invariants  signature / Pick / Hessian / ruling bundle for one surface, JSON
 
+Every report is shaped here; the library modules return values only.
 All output is deterministic: identical invocations produce identical bytes.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
 141 (128 + SIGPIPE) stdout closed by its reader.
@@ -146,11 +147,11 @@ def _check_pick(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
 def _check_signature(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
     _, g_taylor, _ = _graph_tensors(phi)
     sig = geometry.signature(g_taylor)
-    detail = f"signature ({sig.positive}, {sig.negative}, {sig.zero})"
+    detail = f"signature {sig}"
     if variant:
-        return sig.zero == 0, detail + " nondegenerate"
+        return sig[2] == 0, detail + " nondegenerate"
     expected = (n // 2, (n - 1) - n // 2, 0)
-    return (sig.positive, sig.negative, sig.zero) == expected, detail + f" expected {expected}"
+    return sig == expected, detail + f" expected {expected}"
 
 
 def _check_ruling(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
@@ -287,8 +288,10 @@ def _cmd_verify(parser, args) -> int:
 
 
 def _algebra_json(algebra: symmetry.SymmetryAlgebra) -> list[dict]:
+    """Each basis field and its eigenvalue, rationals as num/den strings."""
     return [
-        symmetry.field_to_json_dict(f, c)
+        {"n": f.n, "constant": [str(v) for v in f.constant],
+         "linear": [[str(v) for v in row] for row in f.linear], "eigenvalue": str(c)}
         for f, c in zip(algebra.basis, algebra.eigenvalues)
     ]
 
@@ -319,9 +322,21 @@ def _cmd_invariants(parser, args) -> int:
     phi, source = _surface(parser, args)
     if phi.n < 3:
         parser.error("invariants need n >= 3")
-    bundle = geometry.invariants_bundle(phi)
-    bundle["source"] = source
-    print(json.dumps(bundle, indent=2))
+    # From the graph's Taylor tensors; the Hessian value is null unless constant.
+    f, g, a = _graph_tensors(phi)
+    pos, neg, zero = geometry.signature(g)
+    pick = geometry.pick_invariant(g, a)
+    hess = geometry.hessian_determinant(f)
+    plane_dim, linear = geometry.ruling_check(phi)
+    print(json.dumps({
+        "n": phi.n,
+        "signature": {"pos": pos, "neg": neg, "zero": zero},
+        "pick": str(pick),
+        "hessian_det_constant": hess.is_constant(),
+        "hessian_det_value": str(hess.coefficient({})) if hess.is_constant() else None,
+        "ruling": {"dim": plane_dim, "linear": linear},
+        "source": source,
+    }, indent=2))
     return 0
 
 

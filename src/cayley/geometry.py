@@ -12,7 +12,9 @@ exposed:
   indices.
 
 Both carry the same sparsity pattern for the Cayley graphs, so the trace and
-Pick computations are run over both in the test suite.
+Pick computations are run over both in the test suite.  The functions return
+values (tensors, rationals, polynomials, tuples); the ``invariants`` report is
+written by ``cli``.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from .generate import partitions
 from .poly import Polynomial, PolyMatrix, Scalar, _collect, _Frozen, determinant
 
 __all__ = [
-    "Signature", "SymmetricTensor", "graph_of", "hessian_determinant", "indicator_tensor",
-    "invariants_bundle", "metric_inverse", "pick_invariant", "ruling_check", "signature",
-    "taylor_tensor", "trace",
+    "SymmetricTensor", "graph_of", "hessian_determinant", "indicator_tensor", "metric_inverse",
+    "pick_invariant", "ruling_check", "signature", "taylor_tensor", "trace",
 ]
 
 IndexKey = tuple[int, ...]
@@ -72,15 +73,6 @@ class SymmetricTensor(_Frozen):
             [self.entries.get((min(i, j), max(i, j)), Fraction(0)) for j in range(1, self.dim + 1)]
             for i in range(1, self.dim + 1)
         ]
-
-
-class Signature(_Frozen):
-    """Inertia counts of a symmetric bilinear form."""
-
-    __slots__ = ("positive", "negative", "zero")
-
-    def __init__(self, positive: int, negative: int, zero: int):
-        self._set(positive, negative, zero)
 
 
 def indicator_tensor(n: int, m: int) -> SymmetricTensor:
@@ -188,10 +180,9 @@ def pick_invariant(g: SymmetricTensor, a: SymmetricTensor) -> Fraction:
     return sum((v * ordered[key] for key, v in contracted.items() if key in ordered), Fraction(0))
 
 
-def signature(g: SymmetricTensor) -> Signature:
-    """Exact inertia of an order-2 tensor via rational congruence reduction."""
-    pos, neg, zero = linalg.inertia(g.as_matrix())
-    return Signature(pos, neg, zero)
+def signature(g: SymmetricTensor) -> tuple[int, int, int]:
+    """Exact inertia (positive, negative, zero) of an order-2 tensor via rational congruence reduction."""
+    return linalg.inertia(g.as_matrix())
 
 
 def hessian_determinant(f: Polynomial) -> Polynomial:
@@ -225,27 +216,3 @@ def ruling_check(phi: Polynomial) -> tuple[int, bool]:
     block = range(n // 2 + 1, n + 1)
     is_linear = phi.degree_in(block) <= 1
     return (n - 1) // 2, is_linear
-
-
-def invariants_bundle(phi: Polynomial) -> dict:
-    """The invariants report for a graph-form polynomial.
-
-    Uses the exact Taylor tensors of the graph function.  The Hessian value
-    is reported as a rational string when constant, otherwise null.
-    """
-    f = graph_of(phi)
-    g = taylor_tensor(f, 2)
-    a = taylor_tensor(f, 3)
-    sig = signature(g)
-    pick = pick_invariant(g, a)
-    hess = hessian_determinant(f)
-    hess_constant = hess.is_constant()
-    plane_dim, linear = ruling_check(phi)
-    return {
-        "n": phi.n,
-        "signature": {"pos": sig.positive, "neg": sig.negative, "zero": sig.zero},
-        "pick": str(pick),
-        "hessian_det_constant": hess_constant,
-        "hessian_det_value": str(hess.coefficient({})) if hess_constant else None,
-        "ruling": {"dim": plane_dim, "linear": linear},
-    }

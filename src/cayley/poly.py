@@ -402,16 +402,23 @@ def _json_int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _json_array(value, length: int | None = None) -> list:
+    """A JSON array, of the given length if one is named: not a string, object or other iterable."""
+    if isinstance(value, list) and length in (None, len(value)):
+        return value
+    raise ValueError(f"expected a JSON array{f' of length {length}' if length else ''}, got {value!r}")
+
+
 def poly_from_json_dict(data: Mapping) -> Polynomial:
     """Parse the schema produced by poly_to_json_dict."""
     try:
         n = _json_int(data["n"])
         terms = [
             (
-                [(_json_int(v), _json_int(e)) for v, e in entry["exps"]],
+                [tuple(map(_json_int, _json_array(pair, 2))) for pair in _json_array(entry["exps"])],
                 Fraction(_json_int(entry["num"]), _json_int(entry["den"])),
             )
-            for entry in data["terms"]
+            for entry in _json_array(data["terms"])
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed polynomial JSON: {exc}") from exc

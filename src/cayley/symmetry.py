@@ -17,7 +17,8 @@ and its inverse is the series log, both O(n^2) recurrences.
 The solver at the bottom computes, for a polynomial p, the space of all
 affine fields X with X p = c p for a scalar c.  Since the unknowns
 (c, constant, linear) enter the coefficients of X p - c p linearly, this is
-an exact rational nullspace computation.
+an exact rational nullspace computation.  The solver returns values; the
+JSON form of a field is written by ``cli``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .poly import Mono, Polynomial, Scalar, _Frozen, mono_mul, variables
 
 __all__ = [
     "AffineVectorField", "SymmetryAlgebra", "cayley_fields", "commutator", "euler_field",
-    "field_to_json_dict", "isotropy_at_origin", "orbit_point", "parameters_for_point",
-    "span_contains", "symmetry_algebra",
+    "isotropy_at_origin", "orbit_point", "parameters_for_point", "span_contains", "symmetry_algebra",
 ]
 
 
@@ -259,14 +259,3 @@ def span_contains(algebra: SymmetryAlgebra, fields: Sequence[AffineVectorField])
     if len({len(row) for row in rows}) > 1:  # a field on n-space has n + n^2 coordinates
         raise ValueError("dimension mismatch")
     return linalg.rank(rows) == linalg.rank(rows[: algebra.dimension])
-
-
-def field_to_json_dict(field: AffineVectorField, eigenvalue: Fraction) -> dict:
-    """Pinned JSON form with rationals as num/den strings."""
-    return {
-        "n": field.n,
-        "constant": [str(v) for v in field.constant],
-        "linear": [[str(v) for v in row] for row in field.linear],
-        "eigenvalue": str(eigenvalue),
-    }
-

@@ -15,6 +15,7 @@ from cayley import cli
 from cayley.poly import Polynomial, poly_to_json_dict
 from cayley.symmetry import AffineVectorField, SymmetryAlgebra, span_contains
 
+from test_poly import NON_ARRAY_JSON
 from test_symmetry import affine_polys
 
 GOLDEN_PLAIN = {
@@ -347,6 +348,13 @@ def test_symmetries_cayley(capsys):
     assert len(data["basis"]) == 3
     for entry in data["basis"]:
         assert set(entry) == {"n", "constant", "linear", "eigenvalue"}
+    # The shift field X_2 = d/dx_2 + x_1 d/dx_3, with eigenvalue 0.
+    assert data["basis"][0] == {
+        "n": 3,
+        "constant": ["0", "1", "0"],
+        "linear": [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]],
+        "eigenvalue": "0",
+    }
 
 
 def test_symmetries_variant_isotropy_subreport(capsys):
@@ -429,6 +437,16 @@ def test_symmetries_file_non_integer(capsys, tmp_path, data):
     assert "cannot read polynomial file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", NON_ARRAY_JSON)
+def test_symmetries_file_needs_json_arrays(capsys, tmp_path, form):
+    path = tmp_path / "non_array.json"
+    path.write_text(json.dumps(NON_ARRAY_JSON[form]))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symmetries", "--file", str(path)])
+    assert exc.value.code == 2
+    assert "malformed polynomial JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("num", ["1" * 4301, '"' + "1" * 4301 + '"'], ids=["literal", "string"])
 def test_symmetries_file_integer_digits_are_bounded(capsys, tmp_path, num):
     # main lifts the interpreter's int-to-str limit, so the bound is the parser's own.
@@ -459,7 +477,11 @@ def test_invariants_variant(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["source"] == "variant"
+    assert data["signature"]["zero"] == 0
+    assert data["pick"] == "0"
+    assert data["hessian_det_constant"] is True
     assert data["hessian_det_value"] == "-1"
+    assert data["ruling"] == {"dim": 1, "linear": True}
 
 
 def test_invariants_family(capsys):

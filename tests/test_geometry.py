@@ -6,12 +6,10 @@ import pytest
 
 from cayley.generate import cayley_poly, family_poly, variant_surface_4
 from cayley.geometry import (
-    Signature,
     SymmetricTensor,
     graph_of,
     hessian_determinant,
     indicator_tensor,
-    invariants_bundle,
     metric_inverse,
     pick_invariant,
     ruling_check,
@@ -231,10 +229,9 @@ def test_signature_split_by_parity():
     for n in range(3, 16):
         sig = signature(taylor_tensor(graph_of(cayley_poly(n)), 2))
         if n % 2:
-            assert sig == Signature((n - 1) // 2, (n - 1) // 2, 0)
+            assert sig == ((n - 1) // 2, (n - 1) // 2, 0)
         else:
-            assert sig == Signature(n // 2, (n - 2) // 2, 0)
-        assert sig.zero == 0
+            assert sig == (n // 2, (n - 2) // 2, 0)
 
 
 def test_inertia_of_taylor_metrics_matches_the_characteristic_polynomial():
@@ -246,12 +243,12 @@ def test_inertia_of_taylor_metrics_matches_the_characteristic_polynomial():
 
 
 def test_signature_zero_matrix():
-    assert signature(SymmetricTensor(2, 3)) == Signature(0, 0, 3)
+    assert signature(SymmetricTensor(2, 3)) == (0, 0, 3)
 
 
 def test_signature_hyperbolic_block():
     g = SymmetricTensor(2, 2, {(1, 2): 1})
-    assert signature(g) == Signature(1, 1, 0)
+    assert signature(g) == (1, 1, 0)
 
 
 def test_inertia_invariant_under_congruence():
@@ -312,22 +309,3 @@ def test_ruling_check_detects_nonlinearity():
     phi = Polynomial(3, [({3: 2}, 1), ({1: 1}, 1)])
     _, linear = ruling_check(phi)
     assert not linear
-
-
-def test_invariants_bundle_pinned():
-    assert invariants_bundle(cayley_poly(4)) == {
-        "n": 4,
-        "signature": {"pos": 2, "neg": 1, "zero": 0},
-        "pick": "0",
-        "hessian_det_constant": True,
-        "hessian_det_value": "-1",
-        "ruling": {"dim": 1, "linear": True},
-    }
-
-
-def test_invariants_bundle_variant():
-    bundle = invariants_bundle(variant_surface_4())
-    assert bundle["signature"]["zero"] == 0
-    assert bundle["pick"] == "0"
-    assert bundle["hessian_det_constant"] is True
-    assert bundle["ruling"] == {"dim": 1, "linear": True}

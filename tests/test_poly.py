@@ -390,6 +390,26 @@ def test_json_rejects_non_integers(data):
         poly_from_json_dict(data)
 
 
+# Each was once read by iterating a string or an object where the schema has
+# an array: the first as the constant 1, the second as x1^2, the third as 0.
+NON_ARRAY_JSON = {
+    "exps-object": {"n": 2, "terms": [{"exps": {}, "num": "1", "den": "1"}]},
+    "pair-string": {"n": 2, "terms": [{"exps": ["12"], "num": "1", "den": "1"}]},
+    "terms-object": {"n": 2, "terms": {}},
+}
+
+
+@pytest.mark.parametrize("form", NON_ARRAY_JSON)
+def test_json_requires_arrays(form):
+    with pytest.raises(ValueError, match="malformed polynomial JSON"):
+        poly_from_json_dict(NON_ARRAY_JSON[form])
+
+
+def test_json_empty_exps_is_the_constant_monomial():
+    data = {"n": 2, "terms": [{"exps": [], "num": "3", "den": "1"}]}
+    assert poly_from_json_dict(data) == Polynomial.constant(2, 3)
+
+
 def test_json_accepts_integers_and_integer_strings():
     data = {"n": "2", "terms": [{"exps": [["2", 3]], "num": -4, "den": "6"}]}
     assert poly_from_json_dict(data) == Polynomial(2, [({2: 3}, Fraction(-2, 3))])

@@ -13,7 +13,6 @@ from cayley.symmetry import (
     cayley_fields,
     commutator,
     euler_field,
-    field_to_json_dict,
     isotropy_at_origin,
     orbit_point,
     parameters_for_point,
@@ -370,16 +369,6 @@ def test_span_contains_refuses_fields_of_another_dimension():
     ):
         with pytest.raises(ValueError, match="dimension"):
             span_contains(algebra, fields)
-
-
-def test_field_json_shape():
-    data = field_to_json_dict(cayley_fields(3)[1], Fraction(0))
-    assert data == {
-        "n": 3,
-        "constant": ["0", "1", "0"],
-        "linear": [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]],
-        "eigenvalue": "0",
-    }
 
 
 # -- property tests ---------------------------------------------------------------

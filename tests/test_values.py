@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from cayley.geometry import Signature, SymmetricTensor
+from cayley.geometry import SymmetricTensor
 from cayley.poly import Polynomial, PolyMatrix, variables
 from cayley.symmetry import AffineVectorField, SymmetryAlgebra, euler_field
 
@@ -21,7 +21,6 @@ X1, X2 = variables(2)
 # class -> (constructor arguments, arguments of an unequal value)
 CASES = {
     SymmetricTensor: ((2, 2, {(2, 1): Fraction(1, 2)}), (2, 2, {(1, 1): 1})),
-    Signature: ((1, 1, 0), (1, 0, 1)),
     AffineVectorField: (([Polynomial.constant(2, 1), X1],), ([X2, X1],)),
     SymmetryAlgebra: (((euler_field(2),), (Fraction(2),)), ((), ())),
     PolyMatrix: (([[X1, X2]],), ([[X2, X1]],)),
@@ -82,11 +81,9 @@ def test_copies_and_pickles_are_equal(cls):
 
 
 def test_repr_names_every_attribute():
-    assert repr(Signature(2, 1, 0)) == "Signature(positive=2, negative=1, zero=0)"
     assert repr(SymmetryAlgebra((), ())) == "SymmetryAlgebra(basis=(), eigenvalues=())"
 
 
 def test_keyword_construction_of_the_records():
-    assert Signature(positive=2, negative=1, zero=0) == Signature(2, 1, 0)
     assert SymmetryAlgebra(basis=(), eigenvalues=()) == SymmetryAlgebra((), ())
 
