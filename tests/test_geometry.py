@@ -309,3 +309,26 @@ def test_ruling_check_detects_nonlinearity():
     phi = Polynomial(3, [({3: 2}, 1), ({1: 1}, 1)])
     _, linear = ruling_check(phi)
     assert not linear
+
+
+def _invariants(phi):
+    # The values the `invariants` report is written from, taken from the graph's Taylor tensors.
+    f = graph_of(phi)
+    g, a = taylor_tensor(f, 2), taylor_tensor(f, 3)
+    return signature(g), pick_invariant(g, a), hessian_determinant(f), ruling_check(phi)
+
+
+def test_invariants_bundle_pinned():
+    sig, pick, hess, ruling = _invariants(cayley_poly(4))
+    assert sig == (2, 1, 0)
+    assert pick == 0
+    assert hess.is_constant() and hess.coefficient({}) == -1
+    assert ruling == (1, True)
+
+
+def test_invariants_bundle_variant():
+    sig, pick, hess, ruling = _invariants(variant_surface_4())
+    assert sig[2] == 0
+    assert pick == 0
+    assert hess.is_constant()
+    assert ruling == (1, True)

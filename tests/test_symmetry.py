@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cayley import cli
 from cayley.generate import cayley_poly, family_poly, variant_surface_4
 from cayley.poly import Polynomial, variables
 from cayley.symmetry import (
@@ -369,6 +370,16 @@ def test_span_contains_refuses_fields_of_another_dimension():
     ):
         with pytest.raises(ValueError, match="dimension"):
             span_contains(algebra, fields)
+
+
+def test_field_json_shape():
+    algebra = SymmetryAlgebra((cayley_fields(3)[1],), (Fraction(0),))
+    assert cli._algebra_json(algebra) == [{
+        "n": 3,
+        "constant": ["0", "1", "0"],
+        "linear": [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]],
+        "eigenvalue": "0",
+    }]
 
 
 # -- property tests ---------------------------------------------------------------
