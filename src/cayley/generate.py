@@ -33,17 +33,23 @@ __all__ = ["cayley_poly", "family_poly", "family_prefactor", "partitions", "vari
 
 
 def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as weakly decreasing tuples, largest part first."""
-
-    def gen(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
+    """All partitions of n as weakly decreasing tuples in reverse lexicographic
+    order, (n) first: () alone for n = 0, none for n < 0.  Each next one
+    lowers the last part above 1 by one and refills greedily, parts no larger."""
+    if n < 0:
+        return
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
             return
-        for part in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - part, part):
-                yield (part,) + rest
-
-    return gen(n, n)
+        parts[-1] -= 1
+        count, rest = divmod(ones + 1, parts[-1])
+        parts += [parts[-1]] * count + ([rest] if rest else [])
 
 
 def family_prefactor(d: int, b: Scalar) -> Fraction:

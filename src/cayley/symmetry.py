@@ -6,8 +6,9 @@ An affine vector field on N-space is a derivation
 
 built from and stored as its N coefficient polynomials X_j, each of
 degree <= 1; the constant vector and the matrix ``linear`` are views read
-off them.  The bracket is computed with the derivation itself: [X, Y] has
-coefficients X(Y_j) - Y(X_j).
+off them.  [X, Y] has coefficients X(Y_j) - Y(X_j), and as each Y_j has
+degree <= 1, X(Y_j) is a combination of the X_i: the bracket is read off the
+coefficient polynomials, with no derivation applied.
 
 For the commuting shift fields X_p of the Cayley family no matrix is
 needed: reading a point as the series 1 + x_1 s + ... + x_n s^n, the orbit
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .poly import Mono, Polynomial, Scalar, _Frozen, mono_mul, variables
+from .poly import Mono, Polynomial, Scalar, _collect, _Frozen, mono_mul, variables
 
 __all__ = [
     "AffineVectorField", "SymmetryAlgebra", "cayley_fields", "commutator", "euler_field",
@@ -77,23 +78,28 @@ class AffineVectorField(_Frozen):
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply the derivation: X p = sum_j X_j dp/dx_j.
 
-        One pass over the terms of p accumulates every product of a term of
-        dp/dx_j with a term of X_j into a single term map.
+        With P and F the lcms of the denominators of p and of the field, one
+        pass over the terms of p sums the products of terms of P dp/dx_j and
+        F X_j as integers; each nonzero sum is divided by P F once, at the end.
         """
         if p.n != self.n:
             raise ValueError(f"dimension mismatch: field in {self.n}, polynomial in {p.n}")
-        out: dict[Mono, Fraction] = {}
+        scale = lcm(*(c.denominator for q in self.coefficients for c in q.terms.values()))
+        factors = [[(m, c.numerator * (scale // c.denominator)) for m, c in q.terms.items()]
+                   for q in self.coefficients]
+        p_scale = lcm(*(c.denominator for c in p.terms.values()))
+        out: dict[Mono, int] = {}
         for mono, coeff in p.terms.items():
+            num = coeff.numerator * (p_scale // coeff.denominator)
             for k, (var, exp) in enumerate(mono):
-                factors = self.coefficients[var - 1].terms
-                if not factors:
+                if not factors[var - 1]:
                     continue
                 rest = ((var, exp - 1),) if exp > 1 else ()
                 lowered = mono[:k] + rest + mono[k + 1 :]
-                for factor, value in factors.items():
+                for factor, value in factors[var - 1]:
                     key = mono_mul(lowered, factor) if factor else lowered
-                    out[key] = out.get(key, 0) + coeff * exp * value
-        return Polynomial._raw(p.n, {m: c for m, c in out.items() if c})
+                    out[key] = out.get(key, 0) + num * exp * value
+        return Polynomial._raw(p.n, {m: Fraction(c, p_scale * scale) for m, c in out.items() if c})
 
     def flatten(self) -> list[Fraction]:
         """Coordinates (constant, then linear row-major) for rank computations."""
@@ -128,11 +134,18 @@ def euler_field(n: int) -> AffineVectorField:
 def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
     """The Lie bracket [X, Y] with the convention [X,Y]f = X(Yf) - Y(Xf).
 
-    Its coefficient of d/dx_j is X(Y_j) - Y(X_j).
+    Its coefficient of d/dx_j is X(Y_j) - Y(X_j).  Each Y_j has degree <= 1,
+    so X(Y_j) = sum_i (coefficient of x_i in Y_j) X_i: the bracket is a sum
+    of scaled coefficient polynomials, and no derivation is applied.
     """
     if x.n != y.n:
         raise ValueError("dimension mismatch")
-    return AffineVectorField([x.apply(yj) - y.apply(xj) for xj, yj in zip(x.coefficients, y.coefficients)])
+    # sign * f(g): a term a x_i of g (mono = ((i, 1),)) scales f's coefficient f_i by sign * a.
+    return AffineVectorField([
+        Polynomial._raw(x.n, _collect(
+            (m, sign * a * c) for f, g, sign in ((x, yj, 1), (y, xj, -1)) for mono, a in g.terms.items() if mono
+            for m, c in f.coefficients[mono[0][0] - 1].terms.items()))
+        for xj, yj in zip(x.coefficients, y.coefficients)])
 
 
 def _series_exp(a: Sequence[Scalar]) -> tuple[Fraction, ...]:
@@ -163,12 +176,21 @@ def _series_exp(a: Sequence[Scalar]) -> tuple[Fraction, ...]:
 def _series_log1p(x: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Coefficients 1..len(x) of log(1 + x_1 s + x_2 s^2 + ...).
 
-    Uses k l_k = k x_k - sum_{j<k} j l_j x_{k-j}, from (1 + X) L' = X'.
+    Uses k l_k = k x_k - sum_{j<k} j l_j x_{k-j}, from (1 + X) L' = X'.  The
+    recurrence runs over the integers.  With D the lcm of the denominators,
+    X_k = D x_k and k l_k = M_k / D^k, it reads
+    M_k = k X_k D^(k-1) - sum_{j<k} M_j X_(k-j) D^(k-j-1), and each l_k is
+    reduced once, at the end.
     """
-    l: list[Fraction] = []
+    scale = lcm(*(v.denominator for v in x))
+    # weights[i - 1] = X_i D^(i-1) does not depend on k.
+    weights = [v.numerator * (scale // v.denominator) * scale ** (i - 1) for i, v in enumerate(x, 1)]
+    big, out, denominator = [], [], 1
     for k in range(1, len(x) + 1):
-        l.append((k * x[k - 1] - sum(j * l[j - 1] * x[k - j - 1] for j in range(1, k))) / k)
-    return tuple(l)
+        big.append(k * weights[k - 1] - sum(big[j - 1] * weights[k - j - 1] for j in range(1, k)))
+        denominator *= scale
+        out.append(Fraction(big[-1], k * denominator))
+    return tuple(out)
 
 
 # With X(s) = x_1 s + ... + x_n s^n, the flow of X_p multiplies 1 + X(s) by

@@ -11,8 +11,11 @@ coefficient of each partition, and matrix power sums for the flow of an
 affine field.  The literal kernels at the end
 compute by their definitions what the library computes by shortcuts:
 evaluation with a Fraction per product, the series exponential as the
-sum of the powers A^m/m!, a field applied as a sum of polynomial products,
-and the Pick invariant as a double sum over ordered index triples.  One
+sum of the powers A^m/m! and the series logarithm as the sum of the powers
+(-1)^(m+1) A^m/m, a field applied as a sum of polynomial products, the
+bracket as two such applications per coefficient, the partitions by
+recursion on the largest part, and the Pick invariant as a double sum over
+ordered index triples.  One
 more, substitution term by term from a table of powers of the images,
 pulls a polynomial back by a flow, which the library does not compute.
 """
@@ -339,6 +342,42 @@ def literal_apply(field, p):
     for j, coefficient in enumerate(field.coefficients, 1):
         result = result + coefficient * p.diff(j)
     return result
+
+
+def literal_commutator(x, y):
+    """[X, Y] with coefficients X(Y_j) - Y(X_j), each through literal_apply."""
+    return type(x)([literal_apply(x, yj) - literal_apply(y, xj) for xj, yj in zip(x.coefficients, y.coefficients)])
+
+
+def literal_series_log(a) -> tuple[Fraction, ...]:
+    """Coefficients 1..N of sum_m (-1)^(m+1) A(s)^m / m for A(s) = a_1 s + ... + a_N s^N, truncated at s^N.
+
+    This is log(1 + A(s)); A has no constant term, so A^m starts at s^m and m <= N suffices.
+    """
+    size = len(a) + 1
+    series = [Fraction(0)] + [Fraction(x) for x in a]
+    total = [Fraction(0)] * size
+    power = [Fraction(1)] + [Fraction(0)] * len(a)
+    for m in range(1, size):
+        power = [sum(power[i] * series[k - i] for i in range(k + 1)) for k in range(size)]
+        total = [x + (-1) ** (m + 1) * y / m for x, y in zip(total, power)]
+    return tuple(total[1:])
+
+
+def literal_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n, largest part first, by recursion on the first part:
+    each part from min(remaining, cap) down to 1, then the partitions of the
+    rest with parts no larger."""
+
+    def gen(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, cap), 0, -1):
+            for rest in gen(remaining - part, part):
+                yield (part,) + rest
+
+    return gen(n, n)
 
 
 def inverse_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:

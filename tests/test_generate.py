@@ -22,6 +22,7 @@ from oracles import (
     composition_sum_poly,
     compositions,
     dense_from_sparse,
+    literal_partitions,
     partition_counts,
 )
 
@@ -240,6 +241,18 @@ def test_monomial_count_matches_partition_numbers():
     counts = partition_counts(20)
     for n in range(1, 21):
         assert len(cayley_poly(n).terms) == counts[n]
+
+
+def test_partitions_match_literal_oracle():
+    for n in range(26):
+        assert list(partitions(n)) == list(literal_partitions(n))
+
+
+def test_partitions_at_the_edges():
+    # 0 has one partition, the empty one; a negative number has none, not (n,).
+    assert list(partitions(0)) == [()]
+    for n in (-1, -2, -7):
+        assert list(partitions(n)) == []
 
 
 def test_graph_variable_occurs_once_with_coefficient_minus_one():

@@ -26,7 +26,9 @@ from oracles import (
     all_exponents,
     dense_eigen_dimension,
     literal_apply,
+    literal_commutator,
     literal_series_exp,
+    literal_series_log,
     literal_substitute,
     nilpotent_flow,
     rref_nullity,
@@ -128,6 +130,33 @@ def test_apply_matches_literal_oracle():
             assert field.apply(phi) == literal_apply(field, phi)
 
 
+def test_apply_cancels_to_zero_with_both_scales_above_one():
+    # X = 1/2 (x2 d/dx1 - x1 d/dx2) is a rotation and kills x1^2 + x2^2.  The
+    # field's denominators have lcm F = 2 and the polynomial's P = 3, then 15.
+    x1, x2 = variables(2)
+    field = AffineVectorField([x2 / 2, x1 * Fraction(-1, 2)])
+    round_part = (x1 * x1 + x2 * x2) / 3
+    assert field.apply(round_part).terms == {}
+    p = round_part + x1 / 5
+    result = field.apply(p)
+    assert result == literal_apply(field, p) == Polynomial(2, [({2: 1}, Fraction(1, 10))])
+
+
+def test_commutator_matches_literal_oracle():
+    rng = random.Random(47)
+    for n in range(1, 6):
+        for _ in range(20):
+            x, y = rand_affine_field(rng, n), rand_affine_field(rng, n)
+            assert commutator(x, y) == literal_commutator(x, y)
+    empty = AffineVectorField([])
+    assert commutator(empty, empty) == literal_commutator(empty, empty) == empty
+    for n in range(2, 9):
+        fields = cayley_fields(n) + [euler_field(n), rand_affine_field(rng, n)]
+        for x in fields:
+            for y in fields:
+                assert commutator(x, y) == literal_commutator(x, y)
+
+
 def test_commutators_vanish_pairwise():
     for n in range(2, 9):
         fields = cayley_fields(n)
@@ -219,6 +248,18 @@ def test_series_exp_matches_literal_oracle():
             a = [rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
                  for _ in range(size)]
             assert _series_exp(a) == literal_series_exp(a)
+
+
+def test_series_log_matches_literal_oracle():
+    rng = random.Random(48)
+    assert _series_log1p([]) == literal_series_log([]) == ()
+    x = [Fraction(1, 2), Fraction(0), Fraction(-2, 3)]
+    assert _series_log1p(x) == literal_series_log(x)
+    for size in range(1, 13):
+        for _ in range(5):
+            x = [rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+                 for _ in range(size)]
+            assert _series_log1p([Fraction(v) for v in x]) == literal_series_log(x)
 
 
 def test_parameters_for_point_examples():
