@@ -279,23 +279,21 @@ class Polynomial(_Frozen):
         """Exact value at a rational point (one coordinate per variable).
 
         Each term is formed as an unreduced integer numerator and
-        denominator, from each coordinate's powers, built by repeated products
-        as the terms ask for them; the terms are brought to the lcm of their
-        denominators and the sum is reduced once, by a single Fraction at the end.
+        denominator; the terms are brought to the lcm of their denominators
+        and the sum is reduced once, by a single Fraction at the end.
         """
         if len(point) != self.n:
             raise ValueError(f"point has length {len(point)}, expected {self.n}")
         values = [Fraction(v) for v in point]
-        # powers[var - 1][e] = (numerator, denominator) of the coordinate to the e-th power
-        powers = [[(1, 1)] for _ in values]
+        powers: dict[tuple[int, int], tuple[int, int]] = {}
         nums, dens = [], []
         for mono, coeff in self.terms.items():
             num, den = coeff.numerator, coeff.denominator
-            for var, exp in mono:
-                table, value = powers[var - 1], values[var - 1]
-                while len(table) <= exp:
-                    table.append((table[-1][0] * value.numerator, table[-1][1] * value.denominator))
-                pnum, pden = table[exp]
+            for key in mono:
+                if key not in powers:
+                    value = values[key[0] - 1]
+                    powers[key] = (value.numerator ** key[1], value.denominator ** key[1])
+                pnum, pden = powers[key]
                 num *= pnum
                 den *= pden
             nums.append(num)

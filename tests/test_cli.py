@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -456,6 +457,27 @@ def test_symmetries_file_integer_digits_are_bounded(capsys, tmp_path, num):
         cli.main(["symmetries", "--file", str(path)])
     assert exc.value.code == 2
     assert "cannot read polynomial file" in capsys.readouterr().err
+
+
+def test_symmetries_file_with_a_huge_exponent_finishes(tmp_path):
+    # x1^(10^9) - x2: the solver only multiplies by the exponent and the origin test raises
+    # 0 to it, so this takes milliseconds.  A kernel that stepped through every power up to
+    # the exponent would run out of the child's address space instead.
+    path = tmp_path / "huge_exponent.json"
+    path.write_text(json.dumps({"n": 2, "terms": [{"exps": [[1, 10**9]], "num": 1, "den": 1},
+                                                  {"exps": [[2, 1]], "num": -1, "den": 1}]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    limit = 1 << 30
+    proc = subprocess.run([sys.executable, "-m", "cayley.cli", "symmetries", "--file", str(path)],
+                          capture_output=True, env=env, timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    data = json.loads(proc.stdout)
+    # The one symmetry is the weighted Euler field x1/10^9 d/dx1 + x2 d/dx2, with eigenvalue 1.
+    euler = AffineVectorField(affine_polys([0, 0], [[Fraction(1, 10**9), 0], [0, 1]]))
+    assert [_field_from_json(entry) for entry in data["basis"]] == [euler]
+    assert [entry["eigenvalue"] for entry in data["basis"]] == ["1"]
+    assert data["isotropy"]["dimension"] == 1
 
 
 def test_invariants_bundle_output(capsys):
