@@ -13,7 +13,10 @@ coefficient polynomials, with no derivation applied.
 For the commuting shift fields X_p of the Cayley family no matrix is
 needed: reading a point as the series 1 + x_1 s + ... + x_n s^n, the orbit
 map from parameters t to points is the truncated series exp(sum_p t_p s^p)
-and its inverse is the series log, both O(n^2) recurrences.
+and its inverse is the series log, both O(n^2) recurrences.  The same map
+as polynomials in t, scaled by n! to integer term maps keyed by partitions,
+is what ``verify``'s orbit check proves to be the joint flow of the fields
+from the origin (``orbit_map_terms``, ``is_joint_flow``).
 
 The solver at the bottom computes, for a polynomial p, the space of all
 affine fields X with X p = c p for a scalar c.  Since the unknowns
@@ -26,14 +29,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from . import linalg
 from .poly import Mono, Polynomial, Scalar, _collect, _Frozen, mono_mul, variables
 
 __all__ = [
-    "AffineVectorField", "SymmetryAlgebra", "cayley_fields", "commutator", "euler_field",
-    "isotropy_at_origin", "orbit_point", "parameters_for_point", "span_contains", "symmetry_algebra",
+    "AffineVectorField", "SymmetryAlgebra", "cayley_fields", "commutator", "euler_field", "is_joint_flow",
+    "isotropy_at_origin", "orbit_map_terms", "orbit_point", "parameters_for_point", "span_contains",
+    "symmetry_algebra",
 ]
 
 
@@ -215,6 +219,64 @@ def parameters_for_point(n: int, x: Sequence[Scalar]) -> tuple[Fraction, ...]:
     log(1 + x_1 s + ... + x_{n-1} s^{n-1}).
     """
     return _series_log1p(_freeze_vector(x, n - 1, "coordinate vector"))
+
+
+def orbit_map_terms(n: int) -> list[dict[tuple[int, ...], int]]:
+    """[C_0, ..., C_n] with C_h = n! O_h, O_h(t) the coefficient of s^h in
+    exp(t_1 s + ... + t_{n-1} s^{n-1}) as a polynomial in t; C_0 = {(): n!}.
+
+    The term t_(mu_1) t_(mu_2) ... of C_h is keyed by the partition mu of h,
+    parts < n, largest first.  As exp(t_i s^i) = sum_m t_i^m s^(i m) / m!, its
+    coefficient is the integer n!/prod m_i!, m_i the number of parts equal to i.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    terms: list[dict[tuple[int, ...], int]] = [{} for _ in range(n + 1)]
+    terms[0][()] = factorial(n)
+    # One factor exp(t_i s^i) at a time, largest i first, so keys stay sorted.  Each
+    # weight is read before any term of part i is written into it (only higher
+    # weights are written), so no term takes part i twice over.
+    for part in range(n - 1, 0, -1):
+        for weight in range(n - part, -1, -1):
+            for key, coeff in terms[weight].items():
+                for m in range(1, (n - weight) // part + 1):
+                    coeff //= m
+                    terms[weight + m * part][key + (part,) * m] = coeff
+    return terms
+
+
+def is_joint_flow(fields: Sequence[AffineVectorField], terms: Sequence[dict[tuple[int, ...], int]]) -> bool:
+    """Whether C = orbit_map_terms(n), with fields[p-1] = X_p, satisfies
+    (a) C_h has no constant term for h = 1..n, and
+    (b) dC_h/dt_p = X_(p,h)(C) for p = 1..n-1, h = 1..n,
+    where X_(p,h)(C) is the coefficient of d/dx_h in X_p with C_i for x_i and
+    C_0 = n! for 1.  Then O = C/n! is the joint flow of the fields from the
+    origin, and every polynomial they annihilate is constant along it.
+    Both sides are compared as integer term maps; keys are read as
+    orbit_map_terms writes them, partitions with the largest part first.
+    """
+    n = len(terms) - 1
+    if len(fields) != n - 1 or any(f.n != n for f in fields):
+        raise ValueError(f"need {n - 1} fields on {n}-space")
+    if any(() in c for c in terms[1:]):
+        return False
+    # d/dt_p t^mu = m_p t^(mu - p): one pass over the terms gives every (p, h).
+    derivatives: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+    for h, c in enumerate(terms[1:], 1):
+        for key, coeff in c.items():
+            for part in set(key):
+                i = key.index(part)
+                derivatives.setdefault((part, h), {})[key[:i] + key[i + 1 :]] = coeff * key.count(part)
+    for p, field in enumerate(fields, 1):
+        for h, q in enumerate(field.coefficients, 1):
+            # (index i of C_i, coefficient); an integer coefficient as an int keeps integer fields on ints.
+            factors = [(mono[0][0] if mono else 0, c.numerator if c.denominator == 1 else c)
+                       for mono, c in q.terms.items()]
+            image = _collect((key, a * v) for i, a in factors for key, v in terms[i].items())
+            if derivatives.get((p, h), {}) != image:
+                return False
+    # A part outside 1..n-1 would be a parameter that no field moves.
+    return all(0 < p < n for p, _ in derivatives)
 
 
 class SymmetryAlgebra(_Frozen):

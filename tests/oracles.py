@@ -18,10 +18,14 @@ recursion on the largest part, and the Pick invariant as a double sum over
 ordered index triples.  One
 more, substitution term by term from a table of powers of the images,
 pulls a polynomial back by a flow, which the library does not compute.
+The orbit check is kept here as the sample it was before it became a proof:
+the surface evaluated literally at seeded orbit points, and round trips
+through the inverse map.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -334,6 +338,23 @@ def literal_series_exp(a) -> tuple[Fraction, ...]:
         power = [sum(power[i] * series[k - i] for i in range(k + 1)) / m for k in range(size)]
         total = [x + y for x, y in zip(total, power)]
     return tuple(total[1:])
+
+
+def sampled_orbit_check(phi, orbit_point, parameters_for_point, samples=100, round_trips=10) -> bool:
+    """Whether phi, by literal_evaluate, vanishes at orbit_point(n, t) for
+    `samples` seeded t, and parameters_for_point gives back `round_trips`
+    more seeded t from the first n - 1 coordinates of orbit_point(n, t).
+
+    The parameters t_p are p/q with p in -9..9 and q in 1..9, drawn from one
+    generator seeded 20000 + n: first every sample, then the round trips.
+    """
+    n = phi.n
+    rng = random.Random(20_000 + n)
+    draws = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - 1)]
+             for _ in range(samples + round_trips)]
+    on_surface = [literal_evaluate(phi, orbit_point(n, t)) == 0 for t in draws[:samples]]
+    returned = [parameters_for_point(n, orbit_point(n, t)[: n - 1]) == tuple(t) for t in draws[samples:]]
+    return all(on_surface) and all(returned)
 
 
 def literal_apply(field, p):

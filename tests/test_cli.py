@@ -36,10 +36,10 @@ GOLDEN_LATEX = {
 }
 
 
-# sha256 of the stdout of `verify --n 3..12 --checks all`, recorded before
-# evaluate, the series exp, apply and pick_invariant moved to their faster
-# exact kernels; it pins the report byte for byte.
-VERIFY_3_12_SHA256 = "de0282af68960a134614d4f898aae3f661de690b77c28d284858d4a449eaf8fb"
+# sha256 of the stdout of `verify --n 3..12 --checks all`, recorded when the
+# orbit check became a proof by flow identities; it pins the report byte for
+# byte.  The report before that differed only in the orbit detail lines.
+VERIFY_3_12_SHA256 = "1fbde7c43917b94959447a1edc3266e6d4ff2f0605a5174aa4f8b2e35226e844"
 
 # sha256 of the stdout of `verify --n 4 --variant`, recorded before verify
 # resolved its surfaces through the one route that the other commands take.

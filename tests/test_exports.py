@@ -13,10 +13,10 @@ EXPORTS = [
     "AffineVectorField", "PolyMatrix", "Polynomial", "SymmetricTensor", "SymmetryAlgebra",
     "cayley_fields", "cayley_poly", "commutator", "determinant", "divide_exact", "euler_field",
     "family_poly", "family_prefactor", "format_latex", "format_plain", "graph_of",
-    "hessian_determinant", "indicator_tensor", "isotropy_at_origin", "metric_inverse",
-    "orbit_point", "parameters_for_point", "partitions", "pick_invariant", "poly_from_json_dict",
-    "poly_to_json_dict", "ruling_check", "signature", "span_contains", "symmetry_algebra",
-    "taylor_tensor", "trace", "variables", "variant_surface_4", "weighted_degree_check",
+    "hessian_determinant", "indicator_tensor", "is_joint_flow", "isotropy_at_origin", "metric_inverse",
+    "orbit_map_terms", "orbit_point", "parameters_for_point", "partitions", "pick_invariant",
+    "poly_from_json_dict", "poly_to_json_dict", "ruling_check", "signature", "span_contains",
+    "symmetry_algebra", "taylor_tensor", "trace", "variables", "variant_surface_4", "weighted_degree_check",
 ]
 
 

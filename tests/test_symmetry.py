@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,9 @@ from cayley.symmetry import (
     cayley_fields,
     commutator,
     euler_field,
+    is_joint_flow,
     isotropy_at_origin,
+    orbit_map_terms,
     orbit_point,
     parameters_for_point,
     span_contains,
@@ -32,6 +35,7 @@ from oracles import (
     literal_substitute,
     nilpotent_flow,
     rref_nullity,
+    sampled_orbit_check,
 )
 
 
@@ -274,6 +278,82 @@ def test_parameters_round_trip():
             t = tuple(rand_params(rng, n))
             point = orbit_point(n, t)
             assert parameters_for_point(n, point[: n - 1]) == t
+
+
+def test_orbit_point_is_the_proved_orbit_map():
+    # orbit_point(n, t) = C(t)/n! for the term maps C that the orbit check proves
+    # to be the joint flow, and parameters_for_point undoes it.
+    rng = random.Random(29)
+    for n in range(3, 13):
+        terms = orbit_map_terms(n)
+        assert terms[0] == {(): factorial(n)}
+        for _ in range(5):
+            t = rand_params(rng, n)
+            values = tuple(sum(c * prod(t[part - 1] for part in key) for key, c in terms[h].items()) / factorial(n)
+                           for h in range(1, n + 1))
+            assert orbit_point(n, t) == values == literal_series_exp(t + [0])
+            assert parameters_for_point(n, values[: n - 1]) == tuple(t)
+
+
+def test_orbit_map_terms_examples():
+    # exp(t1 s + t2 s^2) = 1 + t1 s + (t2 + t1^2/2) s^2 + (t1 t2 + t1^3/6) s^3 + ..., times 3! = 6.
+    assert orbit_map_terms(3) == [{(): 6}, {(1,): 6}, {(2,): 6, (1, 1): 3}, {(2, 1): 6, (1, 1, 1): 1}]
+    with pytest.raises(ValueError, match="need n >= 2"):
+        orbit_map_terms(1)
+
+
+def test_joint_flow_fails_on_a_wrong_orbit_map():
+    n = 6
+    fields = cayley_fields(n)
+    assert is_joint_flow(fields, orbit_map_terms(n))
+    # C_n enters no X_(p,h)(C), so only (a) sees a constant term there.
+    for h in (1, n):
+        terms = orbit_map_terms(n)
+        terms[h][()] = 1
+        assert not is_joint_flow(fields, terms)
+    for h in range(1, n + 1):
+        terms = orbit_map_terms(n)
+        key = next(iter(terms[h]))
+        terms[h][key] += 1
+        assert not is_joint_flow(fields, terms)
+    # t_n is no parameter: C_n with a term in it is no flow of the n - 1 fields.
+    terms = orbit_map_terms(n)
+    terms[n][(n,)] = 1
+    assert not is_joint_flow(fields, terms)
+    with pytest.raises(ValueError, match="need 5 fields on 6-space"):
+        is_joint_flow(fields[:-1], orbit_map_terms(n))
+    with pytest.raises(ValueError, match="need 5 fields on 6-space"):
+        is_joint_flow(cayley_fields(n + 1)[:-1], orbit_map_terms(n))
+
+
+def test_orbit_check_agrees_with_the_sampled_oracle():
+    for n in range(3, 17):
+        phi = cayley_poly(n)
+        assert cli._check_orbit(n, phi, False)[0]
+        assert sampled_orbit_check(phi, orbit_point, parameters_for_point)
+
+
+def test_orbit_check_fails_on_a_changed_surface():
+    rng = random.Random(31)
+    for n in range(3, 11):
+        phi = cayley_poly(n)
+        assert not cli._check_orbit(n, phi + Polynomial.constant(n, 1), False)[0]
+        monos = sorted(phi.terms)
+        for mono in monos if n <= 6 else rng.sample(monos, 3):
+            changed = phi + Polynomial(n, [(dict(mono), rng.choice([-2, -1, Fraction(1, 2), 1]))])
+            assert not cli._check_orbit(n, changed, False)[0]
+
+
+def test_orbit_check_fails_on_doubled_fields(monkeypatch):
+    # 2 X_p still annihilate Phi, so only the flow identity (b) rules them out.
+    def doubled(n):
+        return [AffineVectorField([q * 2 for q in f.coefficients]) for f in cayley_fields(n)]
+
+    monkeypatch.setattr("cayley.symmetry.cayley_fields", doubled)
+    for n in range(3, 11):
+        phi = cayley_poly(n)
+        assert all(not f.apply(phi) for f in doubled(n))
+        assert not cli._check_orbit(n, phi, False)[0]
 
 
 def test_phi_is_minus_top_log_coefficient():
