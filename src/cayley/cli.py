@@ -299,7 +299,7 @@ def _cmd_symmetries(parser, args) -> int:
     }
     if source == "family":
         out["b"] = str(args.b)
-    if phi.evaluate([0] * phi.n) == 0:
+    if () not in phi.terms:  # phi(0) = 0
         iso = symmetry.isotropy_at_origin(phi)
         out["isotropy"] = {"dimension": iso.dimension, "basis": _algebra_json(iso)}
     else:

@@ -24,7 +24,7 @@ import operator
 import re
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import lcm
+from math import prod
 
 __all__ = [
     "PolyMatrix", "Polynomial", "determinant", "divide_exact", "format_latex", "format_plain",
@@ -276,30 +276,12 @@ class Polynomial(_Frozen):
         return Polynomial._raw(self.n, out)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point (one coordinate per variable).
-
-        Each term is formed as an unreduced integer numerator and
-        denominator; the terms are brought to the lcm of their denominators
-        and the sum is reduced once, by a single Fraction at the end.
-        """
+        """Exact value at a rational point (one coordinate per variable)."""
         if len(point) != self.n:
             raise ValueError(f"point has length {len(point)}, expected {self.n}")
         values = [Fraction(v) for v in point]
-        powers: dict[tuple[int, int], tuple[int, int]] = {}
-        nums, dens = [], []
-        for mono, coeff in self.terms.items():
-            num, den = coeff.numerator, coeff.denominator
-            for key in mono:
-                if key not in powers:
-                    value = values[key[0] - 1]
-                    powers[key] = (value.numerator ** key[1], value.denominator ** key[1])
-                pnum, pden = powers[key]
-                num *= pnum
-                den *= pden
-            nums.append(num)
-            dens.append(den)
-        common = lcm(*dens)
-        return Fraction(sum(num * (common // den) for num, den in zip(nums, dens)), common)
+        return sum((c * prod(values[var - 1] ** exp for var, exp in mono) for mono, c in self.terms.items()),
+                   Fraction(0))
 
     def restrict(self, n_new: int) -> "Polynomial":
         """Reinterpret in a smaller space; fails if dropped variables occur."""

@@ -152,51 +152,6 @@ def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
         for xj, yj in zip(x.coefficients, y.coefficients)])
 
 
-def _series_exp(a: Sequence[Scalar]) -> tuple[Fraction, ...]:
-    """Coefficients 1..len(a) of exp(a_1 s + a_2 s^2 + ...), by k e_k = sum_j j a_j e_{k-j}.
-
-    The recurrence runs over the integers.  With L the lcm of the
-    denominators of the a_j, b_j = L a_j and e_k = E_k / (k! L^k), it reads
-    E_k = sum_j j b_j L^(j-1) (k-1)!/(k-j)! E_(k-j), and each e_k is reduced
-    once, at the end.
-    """
-    scale = lcm(*(x.denominator for x in a))
-    # weights[j - 1] = j b_j L^(j-1) does not depend on k.
-    weights = [j * x.numerator * (scale // x.denominator) * scale ** (j - 1)
-               for j, x in enumerate(a, 1)]
-    big, out, denominator = [1], [], 1
-    for k in range(1, len(a) + 1):
-        total, falling = 0, 1  # falling = (k-1)!/(k-j)!
-        for j in range(1, k + 1):
-            if weights[j - 1]:
-                total += weights[j - 1] * falling * big[k - j]
-            falling *= k - j
-        big.append(total)
-        denominator *= k * scale
-        out.append(Fraction(total, denominator))
-    return tuple(out)
-
-
-def _series_log1p(x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Coefficients 1..len(x) of log(1 + x_1 s + x_2 s^2 + ...).
-
-    Uses k l_k = k x_k - sum_{j<k} j l_j x_{k-j}, from (1 + X) L' = X'.  The
-    recurrence runs over the integers.  With D the lcm of the denominators,
-    X_k = D x_k and k l_k = M_k / D^k, it reads
-    M_k = k X_k D^(k-1) - sum_{j<k} M_j X_(k-j) D^(k-j-1), and each l_k is
-    reduced once, at the end.
-    """
-    scale = lcm(*(v.denominator for v in x))
-    # weights[i - 1] = X_i D^(i-1) does not depend on k.
-    weights = [v.numerator * (scale // v.denominator) * scale ** (i - 1) for i, v in enumerate(x, 1)]
-    big, out, denominator = [], [], 1
-    for k in range(1, len(x) + 1):
-        big.append(k * weights[k - 1] - sum(big[j - 1] * weights[k - j - 1] for j in range(1, k)))
-        denominator *= scale
-        out.append(Fraction(big[-1], k * denominator))
-    return tuple(out)
-
-
 # With X(s) = x_1 s + ... + x_n s^n, the flow of X_p multiplies 1 + X(s) by
 # exp(t s^p) modulo s^(n+1).  The flows commute, and the origin is 1 + X = 1,
 # so the orbit map is a truncated series exp and its inverse a series log.
@@ -205,20 +160,31 @@ def _series_log1p(x: Sequence[Fraction]) -> tuple[Fraction, ...]:
 def orbit_point(n: int, params: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Image of the origin under exp(sum_p t_p X_p) for the commuting fields.
 
-    This is the point whose coordinates are the coefficients of s^1..s^n in
-    exp(t_1 s + ... + t_{n-1} s^{n-1}); it lies on the hypersurface exactly.
+    Its coordinates are the coefficients e_1..e_n of exp(t_1 s + ... + t_{n-1} s^{n-1}),
+    by k e_k = sum_j j t_j e_(k-j) with t_n = 0; it lies on the hypersurface exactly.
     """
-    t = _freeze_vector(params, n - 1, "parameter vector")
-    return _series_exp(t + (Fraction(0),))
+    if n < 1:
+        raise ValueError("need n >= 1")
+    t = _freeze_vector(params, n - 1, "parameter vector") + (Fraction(0),)
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        e.append(sum(j * t[j - 1] * e[k - j] for j in range(1, k + 1)) / k)
+    return tuple(e[1:])
 
 
 def parameters_for_point(n: int, x: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Invert the orbit map on the first n-1 coordinates.
 
-    The parameters are the coefficients of s^1..s^{n-1} in
-    log(1 + x_1 s + ... + x_{n-1} s^{n-1}).
+    The parameters are the coefficients t_1..t_{n-1} of log(1 + x_1 s + ... + x_{n-1} s^{n-1}),
+    by k t_k = k x_k - sum_{j<k} j t_j x_(k-j), from (1 + X) T' = X'.
     """
-    return _series_log1p(_freeze_vector(x, n - 1, "coordinate vector"))
+    if n < 1:
+        raise ValueError("need n >= 1")
+    x = _freeze_vector(x, n - 1, "coordinate vector")
+    t: list[Fraction] = []
+    for k in range(1, n):
+        t.append((k * x[k - 1] - sum(j * t[j - 1] * x[k - j - 1] for j in range(1, k))) / k)
+    return tuple(t)
 
 
 def orbit_map_terms(n: int) -> list[dict[tuple[int, ...], int]]:
@@ -329,10 +295,10 @@ def symmetry_algebra(p: Polynomial) -> SymmetryAlgebra:
 
 
 def isotropy_at_origin(p: Polynomial) -> SymmetryAlgebra:
-    """Purely linear fields X with X p = c p; requires p(0) = 0."""
+    """Purely linear fields X with X p = c p; requires p(0) = 0, that is, no constant term."""
     if not p:
         raise ValueError("polynomial must be nonzero")
-    if p.evaluate([0] * p.n) != 0:
+    if () in p.terms:
         raise ValueError("origin is not on the hypersurface p = 0")
     return _eigen_system(p, include_constant=False)
 

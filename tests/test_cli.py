@@ -460,9 +460,9 @@ def test_symmetries_file_integer_digits_are_bounded(capsys, tmp_path, num):
 
 
 def test_symmetries_file_with_a_huge_exponent_finishes(tmp_path):
-    # x1^(10^9) - x2: the solver only multiplies by the exponent and the origin test raises
-    # 0 to it, so this takes milliseconds.  A kernel that stepped through every power up to
-    # the exponent would run out of the child's address space instead.
+    # x1^(10^9) - x2: the solver only multiplies by the exponent and the origin test reads the
+    # constant term, so this takes milliseconds.  A kernel that stepped through every power up
+    # to the exponent would run out of the child's address space instead.
     path = tmp_path / "huge_exponent.json"
     path.write_text(json.dumps({"n": 2, "terms": [{"exps": [[1, 10**9]], "num": 1, "den": 1},
                                                   {"exps": [[2, 1]], "num": -1, "den": 1}]}))
@@ -478,6 +478,17 @@ def test_symmetries_file_with_a_huge_exponent_finishes(tmp_path):
     assert [_field_from_json(entry) for entry in data["basis"]] == [euler]
     assert [entry["eigenvalue"] for entry in data["basis"]] == ["1"]
     assert data["isotropy"]["dimension"] == 1
+
+
+def test_symmetries_file_with_a_constant_term_has_no_isotropy(capsys, tmp_path):
+    # 1 + x1 - x2 does not vanish at the origin, so there is no isotropy to solve for.
+    path = tmp_path / "constant_term.json"
+    path.write_text(json.dumps(poly_to_json_dict(Polynomial(2, [({}, 1), ({1: 1}, 1), ({2: 1}, -1)]))))
+    code, out = run(capsys, ["symmetries", "--file", str(path)])
+    assert code == 0
+    assert '\n  "isotropy": null\n' in out
+    # X p = X_1 - X_2 = c p: three equations on seven unknowns (c, the constants, the linear part).
+    assert json.loads(out)["dimension"] == 4
 
 
 def test_invariants_bundle_output(capsys):

@@ -23,7 +23,6 @@ from cayley.symmetry import (
     span_contains,
     symmetry_algebra,
 )
-from cayley.symmetry import _series_exp, _series_log1p
 
 from oracles import (
     all_exponents,
@@ -251,19 +250,30 @@ def test_series_exp_matches_literal_oracle():
         for _ in range(5):
             a = [rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
                  for _ in range(size)]
-            assert _series_exp(a) == literal_series_exp(a)
+            assert orbit_point(len(a) + 1, a) == literal_series_exp(a + [0])
 
 
 def test_series_log_matches_literal_oracle():
     rng = random.Random(48)
-    assert _series_log1p([]) == literal_series_log([]) == ()
+    assert parameters_for_point(1, []) == literal_series_log([]) == ()
     x = [Fraction(1, 2), Fraction(0), Fraction(-2, 3)]
-    assert _series_log1p(x) == literal_series_log(x)
+    assert parameters_for_point(len(x) + 1, x) == literal_series_log(x)
     for size in range(1, 13):
         for _ in range(5):
             x = [rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
                  for _ in range(size)]
-            assert _series_log1p([Fraction(v) for v in x]) == literal_series_log(x)
+            assert parameters_for_point(len(x) + 1, x) == literal_series_log(x)
+
+
+def test_orbit_map_needs_n_at_least_1():
+    for f in (orbit_point, parameters_for_point):
+        with pytest.raises(ValueError, match=r"^need n >= 1$"):
+            f(0, [])
+        with pytest.raises(ValueError, match=r"^need n >= 1$"):
+            f(-2, [])
+    # n = 1 has no parameters; the origin of the line is its one orbit point.
+    assert orbit_point(1, []) == (0,)
+    assert parameters_for_point(1, []) == ()
 
 
 def test_parameters_for_point_examples():
@@ -571,13 +581,9 @@ series_entries = st.one_of(small_rationals, st.integers(-5, 5))
 @example([])
 @example([0, 0, 0, 0, 0])
 @example([3, -2, 0, 7])
-def test_series_log1p_inverts_series_exp(a):
-    assert _series_log1p(_series_exp(a)) == tuple(a)
-
-
-@property_settings
-@given(st.integers(1, 11).flatmap(lambda k: st.lists(series_entries, min_size=k, max_size=k)))
 def test_orbit_parameter_round_trip(t):
+    # The first n - 1 coordinates of the series exp are those of exp(t_1 s + ... + t_{n-1} s^{n-1}),
+    # so this is log(exp(t)) = t on every length.
     n = len(t) + 1
     point = orbit_point(n, t)
     assert cayley_poly(n).evaluate(point) == 0
