@@ -581,9 +581,16 @@ series_entries = st.one_of(small_rationals, st.integers(-5, 5))
 @example([])
 @example([0, 0, 0, 0, 0])
 @example([3, -2, 0, 7])
+def test_series_log1p_inverts_series_exp(a):
+    # The first n - 1 coordinates of the series exp are those of exp(a_1 s + ... + a_{n-1} s^{n-1}),
+    # so this is log(exp(a)) = a on every length, the empty series included.
+    n = len(a) + 1
+    assert parameters_for_point(n, orbit_point(n, a)[: n - 1]) == tuple(a)
+
+
+@property_settings
+@given(st.integers(1, 11).flatmap(lambda k: st.lists(series_entries, min_size=k, max_size=k)))
 def test_orbit_parameter_round_trip(t):
-    # The first n - 1 coordinates of the series exp are those of exp(t_1 s + ... + t_{n-1} s^{n-1}),
-    # so this is log(exp(t)) = t on every length.
     n = len(t) + 1
     point = orbit_point(n, t)
     assert cayley_poly(n).evaluate(point) == 0
