@@ -8,6 +8,9 @@ symmetries  solve for the affine symmetry algebra of a surface, JSON
 invariants  signature / Pick / Hessian / ruling bundle for one surface, JSON
 
 Every report is shaped here; the library modules return values only.
+The verify checks of one target share its facts (shift fields, annihilation,
+graph and Taylor tensors, indicator tensors), each computed on first use; no
+fact crosses targets, and a check run alone computes the facts it reads.
 All output is deterministic: identical invocations produce identical bytes.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
 141 (128 + SIGPIPE) stdout closed by its reader.
@@ -21,7 +24,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from . import generate as gen
 from . import geometry, symmetry
@@ -75,104 +78,115 @@ def _guard_n(parser: argparse.ArgumentParser, worst: int, force: bool) -> None:
 # -- check implementations ---------------------------------------------------
 
 
-def _check_annihilation(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    fields = symmetry.cayley_fields(n)
-    ok = all(not f.apply(phi) for f in fields)
-    return ok, f"X_p Phi = 0 for p = 1..{n - 1}"
+class _Target:
+    """One verify target, n with Phi_n or the variant, and the facts its checks share.
+
+    Each fact is computed on first use and kept for the target's other
+    checks, never for another target.  A check reads every fact it needs
+    from here, so a check run alone computes them itself and stays a proof.
+    """
+
+    def __init__(self, n: int, phi: Polynomial, variant: bool):
+        self.n, self.phi, self.variant = n, phi, variant
+
+    @cached_property
+    def fields(self) -> list[symmetry.AffineVectorField]:
+        return symmetry.cayley_fields(self.n)
+
+    @cached_property
+    def annihilated(self) -> bool:
+        """X_p Phi = 0 for p = 1..n-1."""
+        return all(not f.apply(self.phi) for f in self.fields)
+
+    @cached_property
+    def graph(self) -> Polynomial:
+        return geometry.graph_of(self.phi)
+
+    @cached_property
+    def taylor(self) -> dict[int, geometry.SymmetricTensor]:
+        """The graph's Taylor tensors by degree, from one pass over its terms."""
+        return geometry.taylor_tensors(self.graph)
+
+    @cached_property
+    def indicator(self) -> dict[int, geometry.SymmetricTensor]:
+        """The indicator tensors of orders 2..n, from one walk over the partitions of n."""
+        return {m: geometry.indicator_tensor(self.n, m) for m in range(2, self.n + 1)}
 
 
-def _check_abelian(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    fields = symmetry.cayley_fields(n)
-    ok = True
-    for i, x in enumerate(fields):
-        for y in fields[i + 1 :]:
-            if not symmetry.commutator(x, y).is_zero():
-                ok = False
-    return ok, f"all pairwise commutators of the {n - 1} shift fields vanish"
+def _check_annihilation(t: _Target) -> tuple[bool, str]:
+    return t.annihilated, f"X_p Phi = 0 for p = 1..{t.n - 1}"
 
 
-def _check_homogeneity(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    graded = weighted_degree_check(phi, list(range(1, n + 1)), n)
-    euler = symmetry.euler_field(n)
-    scales = euler.apply(phi) == phi * n
+def _check_abelian(t: _Target) -> tuple[bool, str]:
+    fields = t.fields
+    ok = all(symmetry.commutator(x, y).is_zero() for i, x in enumerate(fields) for y in fields[i + 1 :])
+    return ok, f"all pairwise commutators of the {t.n - 1} shift fields vanish"
+
+
+def _check_homogeneity(t: _Target) -> tuple[bool, str]:
+    n = t.n
+    graded = weighted_degree_check(t.phi, list(range(1, n + 1)), n)
+    scales = symmetry.euler_field(n).apply(t.phi) == t.phi * n
     return graded and scales, f"weight-{n} homogeneous and H Phi = {n} Phi"
 
 
-def _check_isotropy(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    iso = symmetry.isotropy_at_origin(phi)
-    if variant:
+def _check_isotropy(t: _Target) -> tuple[bool, str]:
+    iso = symmetry.isotropy_at_origin(t.phi)
+    if t.variant:
         return iso.dimension == 2, f"linear isotropy dimension {iso.dimension} (expected 2)"
-    ok = iso.dimension == 1 and symmetry.span_contains(iso, [symmetry.euler_field(n)])
+    ok = iso.dimension == 1 and symmetry.span_contains(iso, [symmetry.euler_field(t.n)])
     return ok, f"linear isotropy dimension {iso.dimension} (expected 1, spanned by H)"
 
 
-def _graph_tensors(phi: Polynomial):
-    f = geometry.graph_of(phi)
-    return f, geometry.taylor_tensor(f, 2), geometry.taylor_tensor(f, 3)
-
-
-def _check_traces(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    f, g_taylor, _ = _graph_tensors(phi)
-    ok = True
-    top = max(f.total_degree(), 3)
-    g_taylor_inv = geometry.metric_inverse(g_taylor)
-    for m in range(3, top + 1):
-        if not geometry.trace(geometry.taylor_tensor(f, m), g_taylor_inv).is_zero():
-            ok = False
-    if not variant:
-        g_ind = geometry.indicator_tensor(n, 2)
-        g_ind_inv = geometry.metric_inverse(g_ind)
-        for m in range(3, n + 1):
-            if not geometry.trace(geometry.indicator_tensor(n, m), g_ind_inv).is_zero():
-                ok = False
+def _check_traces(t: _Target) -> tuple[bool, str]:
+    top = max(t.graph.total_degree(), 3)
+    g_inv = geometry.metric_inverse(t.taylor[2])
+    ok = all(geometry.trace(a, g_inv).is_zero() for m, a in t.taylor.items() if m >= 3)
+    if not t.variant:
+        g_inv = geometry.metric_inverse(t.indicator[2])
+        ok = all(geometry.trace(t.indicator[m], g_inv).is_zero() for m in range(3, t.n + 1)) and ok
     return ok, f"metric traces of orders 3..{top} all vanish"
 
 
-def _check_pick(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    _, g_taylor, a_taylor = _graph_tensors(phi)
-    values = {"taylor": geometry.pick_invariant(g_taylor, a_taylor)}
-    if not variant:
-        values["indicator"] = geometry.pick_invariant(
-            geometry.indicator_tensor(n, 2), geometry.indicator_tensor(n, 3)
-        )
+def _check_pick(t: _Target) -> tuple[bool, str]:
+    values = {"taylor": geometry.pick_invariant(t.taylor[2], t.taylor[3])}
+    if not t.variant:
+        values["indicator"] = geometry.pick_invariant(t.indicator[2], t.indicator[3])
     ok = all(v == 0 for v in values.values())
     detail = ", ".join(f"{k} {v}" for k, v in values.items())
     return ok, f"Pick invariant: {detail}"
 
 
-def _check_signature(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    _, g_taylor, _ = _graph_tensors(phi)
-    sig = geometry.signature(g_taylor)
+def _check_signature(t: _Target) -> tuple[bool, str]:
+    sig = geometry.signature(t.taylor[2])
     detail = f"signature {sig}"
-    if variant:
+    if t.variant:
         return sig[2] == 0, detail + " nondegenerate"
+    n = t.n
     expected = (n // 2, (n - 1) - n // 2, 0)
     return sig == expected, detail + f" expected {expected}"
 
 
-def _check_ruling(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    dim, linear = geometry.ruling_check(phi)
+def _check_ruling(t: _Target) -> tuple[bool, str]:
+    dim, linear = geometry.ruling_check(t.phi)
     return linear, f"linear in the upper block; ruled by {dim}-planes"
 
 
-def _check_hessian(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
-    f = geometry.graph_of(phi)
-    hess = geometry.hessian_determinant(f)
+def _check_hessian(t: _Target) -> tuple[bool, str]:
+    hess = geometry.hessian_determinant(t.graph)
     if hess.is_constant():
         return True, f"Hessian determinant constant = {hess.coefficient({})}"
     return False, "Hessian determinant is not constant"
 
 
-def _check_orbit(n: int, phi: Polynomial, variant: bool) -> tuple[bool, str]:
+def _check_orbit(t: _Target) -> tuple[bool, str]:
     # With O the joint flow from the origin, d/dt_p Phi(O(t)) = (X_p Phi)(O(t)) = 0,
     # so Phi(O(t)) = Phi(O(0)) = Phi(0) = 0.  As d/dt_p (1 + O(s)) = s^p (1 + O(s))
     # mod s^n, the series log of 1 + O_1 s + ... + O_(n-1) s^(n-1) is t.
-    fields = symmetry.cayley_fields(n)
-    flow = symmetry.is_joint_flow(fields, symmetry.orbit_map_terms(n))
-    annihilated = () not in phi.terms and all(not f.apply(phi) for f in fields)
-    return flow and annihilated, (
+    flow = symmetry.is_joint_flow(t.fields, symmetry.orbit_map_terms(t.n))
+    return flow and () not in t.phi.terms and t.annihilated, (
         f"Phi(O(t)) = 0 identically and the series log inverts O: O(0) = 0, dO/dt_p = X_p(O),"
-        f" X_p Phi = 0 for p = 1..{n - 1}, Phi(0) = 0"
+        f" X_p Phi = 0 for p = 1..{t.n - 1}, Phi(0) = 0"
     )
 
 
@@ -261,15 +275,15 @@ def _cmd_verify(parser, args) -> int:
     reports = []
     overall = True
     for phi, source in surfaces:
-        n, variant = phi.n, source == "variant"
+        facts = _Target(phi.n, phi, source == "variant")
         checks = []
         target_pass = True
         for name in names:
-            ok, detail = CHECKS[name](n, phi, variant)
+            ok, detail = CHECKS[name](facts)
             checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
             target_pass = target_pass and ok
-        target: dict = {"n": n}
-        if variant:
+        target: dict = {"n": phi.n}
+        if facts.variant:
             target["variant"] = True
         reports.append({"target": target, "checks": checks, "pass": target_pass})
         overall = overall and target_pass
@@ -313,7 +327,8 @@ def _cmd_invariants(parser, args) -> int:
     if phi.n < 3:
         parser.error("invariants need n >= 3")
     # From the graph's Taylor tensors; the Hessian value is null unless constant.
-    f, g, a = _graph_tensors(phi)
+    f = geometry.graph_of(phi)
+    g, a = geometry.taylor_tensor(f, 2), geometry.taylor_tensor(f, 3)
     pos, neg, zero = geometry.signature(g)
     pick = geometry.pick_invariant(g, a)
     hess = geometry.hessian_determinant(f)

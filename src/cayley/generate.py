@@ -22,7 +22,6 @@ Phi_N is built as that member of the family.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from math import factorial
@@ -55,15 +54,17 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
 def family_prefactor(d: int, b: Scalar) -> Fraction:
     """The deformed composition prefactor (-1)^d (1/d!) prod_{k=0}^{d-3}[(1-b)k+2].
 
-    The product is empty (equal to 1) for d = 1 and d = 2.
+    The product is empty (equal to 1) for d = 1 and d = 2.  With b = p/q each
+    factor is ((q-p)k + 2q)/q, so the product is taken on integers.
     """
     if d < 1:
         raise ValueError("d must be positive")
     b = Fraction(b)
-    prod = Fraction(1)
+    p, q = b.numerator, b.denominator
+    prod = 1
     for k in range(d - 2):
-        prod *= (1 - b) * k + 2
-    return Fraction((-1) ** d, factorial(d)) * prod
+        prod *= (q - p) * k + 2 * q
+    return Fraction((-1) ** d * prod, factorial(d) * q ** max(d - 2, 0))
 
 
 def family_poly(n: int, b: Scalar) -> Polynomial:
@@ -75,14 +76,16 @@ def family_poly(n: int, b: Scalar) -> Polynomial:
     if n < 1:
         raise ValueError("n must be a positive integer")
     prefactors = [family_prefactor(d, b) for d in range(1, n + 1)]
-    terms = []
+    terms = {}
     for lam in partitions(n):
-        mults = Counter(lam)
+        # Distinct partitions give distinct monomials, each built in canonical order.
+        mono = tuple((part, lam.count(part)) for part in sorted(set(lam)))
         orderings = factorial(len(lam))
-        for mult in mults.values():
+        for _, mult in mono:
             orderings //= factorial(mult)
-        terms.append((mults, prefactors[len(lam) - 1] * orderings))
-    return Polynomial(n, terms)
+        if coeff := prefactors[len(lam) - 1] * orderings:
+            terms[mono] = coeff
+    return Polynomial._raw(n, terms)
 
 
 def cayley_poly(n: int) -> Polynomial:

@@ -19,18 +19,17 @@ written by ``cli``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 from . import linalg
-from .generate import partitions
-from .poly import Polynomial, PolyMatrix, Scalar, _collect, _Frozen, determinant
+from .poly import _ONE, _ZERO, Polynomial, PolyMatrix, Scalar, _collect, _Frozen, determinant
 
 __all__ = [
     "SymmetricTensor", "graph_of", "hessian_determinant", "indicator_tensor", "metric_inverse",
-    "pick_invariant", "ruling_check", "signature", "taylor_tensor", "trace",
+    "pick_invariant", "ruling_check", "signature", "taylor_tensor", "taylor_tensors", "trace",
 ]
 
 IndexKey = tuple[int, ...]
@@ -61,7 +60,7 @@ class SymmetricTensor(_Frozen):
 
     def get(self, *indices: int) -> Fraction:
         """Component for any ordering of the indices (zero if absent)."""
-        return self.entries.get(_canonical_key(indices, self.order, self.dim), Fraction(0))
+        return self.entries.get(_canonical_key(indices, self.order, self.dim), _ZERO)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -69,21 +68,48 @@ class SymmetricTensor(_Frozen):
     def as_matrix(self) -> list[list[Fraction]]:
         if self.order != 2:
             raise ValueError("only an order-2 tensor is a matrix")
-        return [
-            [self.entries.get((min(i, j), max(i, j)), Fraction(0)) for j in range(1, self.dim + 1)]
-            for i in range(1, self.dim + 1)
-        ]
+        matrix = [[_ZERO] * self.dim for _ in range(self.dim)]
+        for (i, j), value in self.entries.items():
+            matrix[i - 1][j - 1] = matrix[j - 1][i - 1] = value
+        return matrix
 
 
 def indicator_tensor(n: int, m: int) -> SymmetricTensor:
-    """Order-m tensor on {1..n-1} with entry 1 whenever the indices sum to n."""
+    """Order-m tensor on {1..n-1} with entry 1 whenever the indices sum to n.
+
+    Only the partitions of n into m parts are visited, so the tensors of
+    all orders together walk the partitions of n once, grouped by length.
+    """
     if m < 2:
         raise ValueError("order must be at least 2")
     if n < 3:
         raise ValueError("need n >= 3")
-    # With m >= 2 parts every part of a partition of n is below n.
-    entries = {lam: 1 for lam in partitions(n) if len(lam) == m}
-    return SymmetricTensor(m, n - 1, entries)
+    # With m >= 2 parts every part is below n, so every key is in range.
+    return SymmetricTensor._raw(m, n - 1, {key: _ONE for key in _partitions_into(n, m)})
+
+
+def _partitions_into(n: int, m: int, low: int = 1) -> Iterator[IndexKey]:
+    """The partitions of n into exactly m parts, each at least low, as ascending tuples."""
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(low, n // m + 1):
+        for rest in _partitions_into(n - first, m - 1, first):
+            yield (first, *rest)
+
+
+def taylor_tensors(f: Polynomial) -> dict[int, SymmetricTensor]:
+    """taylor_tensor(f, m) for every degree m of f's terms, from one pass over them."""
+    groups: dict[int, dict[IndexKey, Fraction]] = {}
+    for mono, coeff in f.terms.items():
+        key: tuple[int, ...] = ()
+        weight = 1
+        for var, exp in mono:
+            key += (var,) * exp
+            weight *= factorial(exp)
+        m = len(key)
+        groups.setdefault(m, {})[key] = Fraction(coeff.numerator * weight, coeff.denominator * factorial(m))
+    return {m: SymmetricTensor._raw(m, f.n, entries) for m, entries in groups.items()}
 
 
 def taylor_tensor(f: Polynomial, m: int) -> SymmetricTensor:
@@ -95,18 +121,7 @@ def taylor_tensor(f: Polynomial, m: int) -> SymmetricTensor:
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
-    entries: dict[IndexKey, Fraction] = {}
-    for mono, coeff in f.terms.items():
-        degree = sum(e for _, e in mono)
-        if degree != m:
-            continue
-        key: tuple[int, ...] = ()
-        weight = 1
-        for var, exp in mono:
-            key += (var,) * exp
-            weight *= factorial(exp)
-        entries[key] = coeff * Fraction(weight, factorial(m))
-    return SymmetricTensor(m, f.n, entries)
+    return taylor_tensors(f).get(m) or SymmetricTensor._raw(m, f.n, {})
 
 
 def metric_inverse(g: SymmetricTensor) -> SymmetricTensor:
@@ -123,6 +138,7 @@ def trace(tensor: SymmetricTensor, g_inv: SymmetricTensor) -> SymmetricTensor:
 
     By full symmetry the choice of slots is immaterial.  The result has
     order m - 2 (order 0 means a scalar stored under the empty key).
+    Removing one copy each of i and j from a sorted key leaves it sorted.
     """
     if tensor.order < 2:
         raise ValueError("tensor order must be at least 2")
@@ -134,21 +150,13 @@ def trace(tensor: SymmetricTensor, g_inv: SymmetricTensor) -> SymmetricTensor:
     for (i, j), g_val in g_inv.entries.items():
         weight = g_val if i == j else 2 * g_val
         for key, t_val in tensor.entries.items():
-            remainder = _remove_pair(key, i, j)
-            if remainder is not None:
-                products.append((remainder, weight * t_val))
-    return SymmetricTensor(tensor.order - 2, tensor.dim, _collect(products))
-
-
-def _remove_pair(key: IndexKey, i: int, j: int) -> IndexKey | None:
-    """Remove one copy each of i and j from a sorted multiset key."""
-    rest = list(key)
-    try:
-        rest.remove(i)
-        rest.remove(j)
-    except ValueError:
-        return None
-    return tuple(rest)
+            if i in key and j in key:
+                rest = list(key)
+                rest.remove(i)
+                if j in rest:
+                    rest.remove(j)
+                    products.append((tuple(rest), weight * t_val))
+    return SymmetricTensor._raw(tensor.order - 2, tensor.dim, _collect(products))
 
 
 def pick_invariant(g: SymmetricTensor, a: SymmetricTensor) -> Fraction:
@@ -158,26 +166,36 @@ def pick_invariant(g: SymmetricTensor, a: SymmetricTensor) -> Fraction:
     tuples, with g_.. the inverse metric.  The sparse inverse metric is
     applied to one slot of the ordered tensor at a time, rotating the slots
     after each pass, so three passes give b^{lmn} = sum g_il g_jm g_kn a^{ijk},
-    and the invariant is the single dot product sum b^{lmn} a^{lmn}.
+    and the invariant is the single dot product sum b^{lmn} a^{lmn}.  The
+    passes run on integers: with G and A the lcms of the denominators of the
+    inverse metric and of a, on G g_.. and A a, divided by G^3 A^2 at the end.
     """
     if g.order != 2 or a.order != 3:
         raise ValueError("need an order-2 metric and an order-3 tensor")
     if g.dim != a.dim:
         raise ValueError("dimension mismatch")
-    rows: dict[int, list[tuple[int, Fraction]]] = {}
-    for (i, j), value in metric_inverse(g).entries.items():
+    inverse = metric_inverse(g).entries
+    g_scale = lcm(*(v.denominator for v in inverse.values()))
+    a_scale = lcm(*(v.denominator for v in a.entries.values()))
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), value in inverse.items():
+        value = value.numerator * (g_scale // value.denominator)
         rows.setdefault(i, []).append((j, value))
         if i != j:
             rows.setdefault(j, []).append((i, value))
-    ordered = {triple: value for key, value in a.entries.items() for triple in permutations(key)}
+    ordered = {
+        triple: value.numerator * (a_scale // value.denominator)
+        for key, value in a.entries.items() for triple in permutations(key)
+    }
     contracted = ordered
     for _ in range(3):
-        rotated: dict[IndexKey, Fraction] = {}
+        rotated: dict[IndexKey, int] = {}
         for (i, j, k), value in contracted.items():
             for l, metric in rows.get(i, ()):
                 rotated[j, k, l] = rotated.get((j, k, l), 0) + metric * value
         contracted = rotated
-    return sum((v * ordered[key] for key, v in contracted.items() if key in ordered), Fraction(0))
+    total = sum(v * ordered[key] for key, v in contracted.items() if key in ordered)
+    return Fraction(total, g_scale**3 * a_scale**2)
 
 
 def signature(g: SymmetricTensor) -> tuple[int, int, int]:

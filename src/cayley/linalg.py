@@ -17,6 +17,8 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 Rows = Sequence[Sequence | Mapping[int, object]]
 
+_ZERO = Fraction(0)
+
 
 def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
     """row -= factor * other, in place, on sparse rows."""
@@ -39,10 +41,11 @@ def _reduced_echelon(rows: Rows) -> tuple[list[dict[int, Fraction]], list[int]]:
     """
     reduced: dict[int, dict[int, Fraction]] = {}
     for row in rows:
-        # `v and` skips the many zeros without building a Fraction; a value
-        # such as the string "0" is converted first and then dropped.
+        # `v and` skips the many zeros without building a Fraction, and a
+        # Fraction is kept as it is; any other value, such as the string "0",
+        # is converted first and then dropped if it is zero.
         items = row.items() if isinstance(row, Mapping) else enumerate(row)
-        row = {j: f for j, v in items if v and (f := Fraction(v))}
+        row = {j: f for j, v in items if v and (f := v if type(v) is Fraction else Fraction(v))}
         for col in [j for j in row if j in reduced]:
             _subtract(row, row.pop(col), reduced[col])
         if not row:
@@ -88,7 +91,7 @@ def nullspace(rows: Rows, ncols: int | None = None) -> list[list[Fraction]]:
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
         for row, col in zip(reduced, pivots):
-            v[col] = -row.get(free, Fraction(0))
+            v[col] = -row.get(free, _ZERO)
         first = next(x for x in v if x)
         basis.append([x / first for x in v])
     return basis
@@ -117,7 +120,7 @@ def invert(matrix: Sequence[Sequence]) -> Matrix:
     )
     if pivots != list(range(size)):
         raise ValueError("singular matrix")
-    return [[row.get(size + j, Fraction(0)) for j in range(size)] for row in reduced]
+    return [[row.get(size + j, _ZERO) for j in range(size)] for row in reduced]
 
 
 def inertia(matrix: Sequence[Sequence]) -> tuple[int, int, int]:

@@ -71,6 +71,16 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(out.items()))
 
 
+def mono_times_var(m: Mono, var: int) -> Mono:
+    """m * x_var, by one scan of the sorted pairs."""
+    for k, (v, e) in enumerate(m):
+        if v >= var:
+            if v == var:
+                return m[:k] + ((var, e + 1),) + m[k + 1 :]
+            return m[:k] + ((var, 1),) + m[k:]
+    return m + ((var, 1),)
+
+
 def mono_degree(m: Mono) -> int:
     return sum(exp for _, exp in m)
 
@@ -113,6 +123,11 @@ class _Frozen:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
         return self
+
+    @classmethod
+    def _raw(cls, *values):
+        """Internal constructor from attributes already in canonical form: nothing is checked."""
+        return cls.__new__(cls)._set(*values)
 
     def __setstate__(self, state):  # copy and pickle pass (None, {slot: value})
         self._set(*state[1].values())

@@ -27,12 +27,13 @@ JSON form of a field is written by ``cli``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Sequence
 from fractions import Fraction
 from math import factorial, lcm
 
 from . import linalg
-from .poly import Mono, Polynomial, Scalar, _collect, _Frozen, mono_mul, variables
+from .poly import Mono, Polynomial, Scalar, _Frozen, mono_times_var, variables
 
 __all__ = [
     "AffineVectorField", "SymmetryAlgebra", "cayley_fields", "commutator", "euler_field", "is_joint_flow",
@@ -62,6 +63,13 @@ class AffineVectorField(_Frozen):
             raise ValueError(f"{type(self).__name__} needs polynomials of degree <= 1")
         self._set(coefficients)
 
+    def _integer_terms(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """(F, terms): F the lcm of the denominators, and each coefficient as a list
+        of (i, F a), one per term a x_i (i = 0 for a constant)."""
+        scale = lcm(*(c.denominator for q in self.coefficients for c in q.terms.values()))
+        return scale, [[(m[0][0] if m else 0, c.numerator * (scale // c.denominator)) for m, c in q.terms.items()]
+                       if q.terms else [] for q in self.coefficients]
+
     @property
     def n(self) -> int:
         return len(self.coefficients)
@@ -88,21 +96,23 @@ class AffineVectorField(_Frozen):
         """
         if p.n != self.n:
             raise ValueError(f"dimension mismatch: field in {self.n}, polynomial in {p.n}")
-        scale = lcm(*(c.denominator for q in self.coefficients for c in q.terms.values()))
-        factors = [[(m, c.numerator * (scale // c.denominator)) for m, c in q.terms.items()]
-                   for q in self.coefficients]
+        scale, factors = self._integer_terms()
         p_scale = lcm(*(c.denominator for c in p.terms.values()))
         out: dict[Mono, int] = {}
         for mono, coeff in p.terms.items():
-            num = coeff.numerator * (p_scale // coeff.denominator)
-            for k, (var, exp) in enumerate(mono):
-                if not factors[var - 1]:
-                    continue
-                rest = ((var, exp - 1),) if exp > 1 else ()
-                lowered = mono[:k] + rest + mono[k + 1 :]
-                for factor, value in factors[var - 1]:
-                    key = mono_mul(lowered, factor) if factor else lowered
-                    out[key] = out.get(key, 0) + num * exp * value
+            num = 0  # P times coeff, once a variable of mono meets a nonzero X_j
+            for pair in mono:
+                if row := factors[pair[0] - 1]:
+                    var, exp = pair
+                    k = mono.index(pair)
+                    num = num or coeff.numerator * (p_scale // coeff.denominator)
+                    rest = ((var, exp - 1),) if exp > 1 else ()
+                    lowered = mono[:k] + rest + mono[k + 1 :]
+                    scaled = num * exp
+                    for i, value in row:
+                        # x_var d/dx_var keeps the monomial.
+                        key = mono if i == var else mono_times_var(lowered, i) if i else lowered
+                        out[key] = out.get(key, 0) + scaled * value
         return Polynomial._raw(p.n, {m: Fraction(c, p_scale * scale) for m, c in out.items() if c})
 
     def flatten(self) -> list[Fraction]:
@@ -122,17 +132,15 @@ def cayley_fields(n: int) -> list[AffineVectorField]:
     if n < 2:
         raise ValueError("need n >= 2")
     zero, one, xs = Polynomial.zero(n), Polynomial.constant(n, 1), variables(n)
-    return [
-        AffineVectorField([zero] * (p - 1) + [one] + xs[: n - p])
-        for p in range(1, n)
-    ]
+    # Every coefficient is 0, 1 or some x_i, so of degree <= 1 by construction.
+    return [AffineVectorField._raw((zero,) * (p - 1) + (one, *xs[: n - p])) for p in range(1, n)]
 
 
 def euler_field(n: int) -> AffineVectorField:
     """The weighted scaling field sum_h h x_h d/dx_h (weight h on x_h)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return AffineVectorField([x * h for h, x in enumerate(variables(n), 1)])
+    return AffineVectorField._raw(tuple(x * h for h, x in enumerate(variables(n), 1)))
 
 
 def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
@@ -140,16 +148,30 @@ def commutator(x: AffineVectorField, y: AffineVectorField) -> AffineVectorField:
 
     Its coefficient of d/dx_j is X(Y_j) - Y(X_j).  Each Y_j has degree <= 1,
     so X(Y_j) = sum_i (coefficient of x_i in Y_j) X_i: the bracket is a sum
-    of scaled coefficient polynomials, and no derivation is applied.
+    of scaled coefficient polynomials, and no derivation is applied.  With F
+    and G the lcms of the denominators of X and Y, the sums run on F X and
+    G Y as integers and are divided by F G once; the result has degree <= 1.
     """
     if x.n != y.n:
         raise ValueError("dimension mismatch")
-    # sign * f(g): a term a x_i of g (mono = ((i, 1),)) scales f's coefficient f_i by sign * a.
-    return AffineVectorField([
-        Polynomial._raw(x.n, _collect(
-            (m, sign * a * c) for f, g, sign in ((x, yj, 1), (y, xj, -1)) for mono, a in g.terms.items() if mono
-            for m, c in f.coefficients[mono[0][0] - 1].terms.items()))
-        for xj, yj in zip(x.coefficients, y.coefficients)])
+    (x_scale, xs), (y_scale, ys) = x._integer_terms(), y._integer_terms()
+    zero = Polynomial.zero(x.n)
+    coefficients = []
+    for xj, yj in zip(xs, ys):
+        # h -> coefficient of x_h (h = 0 for the constant): a term a x_i of Y_j adds
+        # a X_i, and a term a x_i of X_j subtracts a Y_i.
+        out: dict[int, int] = {}
+        for i, a in yj:
+            if i:
+                for h, c in xs[i - 1]:
+                    out[h] = out.get(h, 0) + a * c
+        for i, a in xj:
+            if i:
+                for h, c in ys[i - 1]:
+                    out[h] = out.get(h, 0) - a * c
+        coefficients.append(zero if not any(out.values()) else Polynomial._raw(
+            x.n, {((h, 1),) if h else (): Fraction(c, x_scale * y_scale) for h, c in out.items() if c}))
+    return AffineVectorField._raw(tuple(coefficients))
 
 
 # With X(s) = x_1 s + ... + x_n s^n, the flow of X_p multiplies 1 + X(s) by
@@ -227,18 +249,26 @@ def is_joint_flow(fields: Sequence[AffineVectorField], terms: Sequence[dict[tupl
     if any(() in c for c in terms[1:]):
         return False
     # d/dt_p t^mu = m_p t^(mu - p): one pass over the terms gives every (p, h).
-    derivatives: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+    derivatives: defaultdict[tuple[int, int], dict[tuple[int, ...], int]] = defaultdict(dict)
     for h, c in enumerate(terms[1:], 1):
         for key, coeff in c.items():
             for part in set(key):
                 i = key.index(part)
-                derivatives.setdefault((part, h), {})[key[:i] + key[i + 1 :]] = coeff * key.count(part)
+                derivatives[part, h][key[:i] + key[i + 1 :]] = coeff * key.count(part)
     for p, field in enumerate(fields, 1):
         for h, q in enumerate(field.coefficients, 1):
-            # (index i of C_i, coefficient); an integer coefficient as an int keeps integer fields on ints.
-            factors = [(mono[0][0] if mono else 0, c.numerator if c.denominator == 1 else c)
-                       for mono, c in q.terms.items()]
-            image = _collect((key, a * v) for i, a in factors for key, v in terms[i].items())
+            # A term c x_i adds c C_i (C_0 for 1); an integer c as an int keeps integer fields on ints.
+            image: dict[tuple[int, ...], Scalar] = {}
+            for mono, c in q.terms.items():
+                a = c.numerator if c.denominator == 1 else c
+                source = terms[mono[0][0] if mono else 0]
+                if image:
+                    for key, v in source.items():
+                        image[key] = image.get(key, 0) + a * v
+                else:
+                    image = {key: a * v for key, v in source.items()}
+            if len(q.terms) > 1:  # only a sum of terms can cancel
+                image = {key: v for key, v in image.items() if v}
             if derivatives.get((p, h), {}) != image:
                 return False
     # A part outside 1..n-1 would be a parameter that no field moves.
@@ -264,15 +294,15 @@ def _eigen_system(p: Polynomial, include_constant: bool) -> SymmetryAlgebra:
     n = p.n
     diffs = [p.diff(j) for j in range(1, n + 1)]
     # Unknown order: c, then constant part by index, then linear part row-major.
-    # Each column is (monomial factor, term map): x_i and dp/dx_j for unknown (i, j).
-    columns = [((), (-p).terms)] + [((), d.terms) for d in diffs if include_constant]
-    columns += [(((i, 1),), d.terms) for i in range(1, n + 1) for d in diffs]
+    # Each column is (variable factor, 0 for none; term map): x_i and dp/dx_j for unknown (i, j).
+    columns = [(0, (-p).terms)] + [(0, d.terms) for d in diffs if include_constant]
+    columns += [(i, d.terms) for i in range(1, n + 1) for d in diffs]
     # One sparse row per monomial, column -> coefficient; the reduced form
     # does not depend on the row order.
     rows: dict[Mono, dict[int, Fraction]] = {}
-    for k, (shift, terms) in enumerate(columns):
+    for k, (var, terms) in enumerate(columns):
         for mono, coeff in terms.items():
-            rows.setdefault(mono_mul(mono, shift), {})[k] = coeff
+            rows.setdefault(mono_times_var(mono, var) if var else mono, {})[k] = coeff
     basis_vectors = linalg.nullspace(list(rows.values()), ncols=len(columns))
     # After c, the coefficient of d/dx_(j+1) is the stride slice vec[1 + j :: n],
     # read on the monomials 1 (if constants are unknowns), x_1, ..., x_n.

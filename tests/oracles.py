@@ -14,8 +14,9 @@ evaluation with a Fraction per product, the series exponential as the
 sum of the powers A^m/m! and the series logarithm as the sum of the powers
 (-1)^(m+1) A^m/m, a field applied as a sum of polynomial products, the
 bracket as two such applications per coefficient, the partitions by
-recursion on the largest part, and the Pick invariant as a double sum over
-ordered index triples.  One
+recursion on the largest part, the Pick invariant as a double sum over
+ordered index triples, and each Taylor tensor entry as a partial derivative
+at the origin.  One
 more, substitution term by term from a table of powers of the images,
 pulls a polynomial back by a flow, which the library does not compute.
 The orbit check is kept here as the sample it was before it became a proof:
@@ -28,7 +29,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
@@ -433,3 +434,18 @@ def literal_pick(g, a) -> Fraction:
         for (l, m, n), right in ordered:
             total += left * right * g_low[i - 1][l - 1] * g_low[j - 1][m - 1] * g_low[k - 1][n - 1]
     return total
+
+
+def literal_taylor(f, m: int) -> dict[tuple[int, ...], Fraction]:
+    """The nonzero entries of f's order-m Taylor tensor, T[i_1..i_m] =
+    (d^m f / dx_(i_1) ... dx_(i_m))(0) / m!, over every sorted index tuple."""
+    dense = dense_from_sparse(f)
+    out = {}
+    for key in combinations_with_replacement(range(1, f.n + 1), m):
+        terms = dense
+        for i in key:
+            terms = dense_diff(terms, i)
+        value = terms.get((0,) * f.n, Fraction(0)) / factorial(m)
+        if value:
+            out[key] = value
+    return out

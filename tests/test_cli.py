@@ -7,12 +7,13 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cayley import cli
+from cayley import cli, geometry, symmetry
 from cayley.poly import Polynomial, poly_to_json_dict
 from cayley.symmetry import AffineVectorField, SymmetryAlgebra, span_contains
 
@@ -216,6 +217,47 @@ def test_verify_single_check(capsys):
     assert "0" in checks[0]["detail"]
 
 
+@pytest.mark.parametrize("argv", [["--n", "3..12"], ["--n", "4", "--variant"]])
+def test_each_check_alone_gives_its_entry_under_all(capsys, argv):
+    # A check run alone computes every shared fact that it reads.
+    _, out = run(capsys, ["verify", *argv, "--checks", "all"])
+    together = json.loads(out)["reports"]
+    for k, name in enumerate(entry["name"] for entry in together[0]["checks"]):
+        _, out = run(capsys, ["verify", *argv, "--checks", name])
+        alone = json.loads(out)["reports"]
+        assert [r["target"] for r in alone] == [r["target"] for r in together]
+        assert [r["checks"] for r in alone] == [[r["checks"][k]] for r in together]
+
+
+def test_verify_range_joins_its_single_target_reports(capsys):
+    # Facts are shared within a target, never across targets.
+    _, both = run(capsys, ["verify", "--n", "5..6", "--checks", "all"])
+    singles = [json.loads(run(capsys, ["verify", "--n", str(n), "--checks", "all"])[1]) for n in (5, 6)]
+    assert json.loads(both) == {"reports": [single["reports"][0] for single in singles], "pass": True}
+
+
+def test_verify_computes_each_shared_fact_once_per_target(capsys, monkeypatch):
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [(symmetry, "cayley_fields"), (AffineVectorField, "apply"), (geometry, "graph_of"),
+                        (geometry, "taylor_tensors"), (geometry, "indicator_tensor")]:
+        count(owner, name)
+    checks = "annihilation,abelian,homogeneity,traces,pick,signature,hessian,orbit"
+    assert run(capsys, ["verify", "--n", "5..6", "--checks", checks])[0] == 0
+    # Per target n: the shift fields once, X_p Phi once for each of them and H Phi once,
+    # one graph with its Taylor tensors, and one indicator tensor for each order 2..n.
+    assert calls == {"cayley_fields": 2, "apply": 5 + 6, "graph_of": 2, "taylor_tensors": 2, "indicator_tensor": 4 + 5}
+
+
 def test_verify_unknown_check(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--n", "4", "--checks", "nonsense"])
@@ -257,7 +299,7 @@ def test_verify_needs_three_variables(capsys):
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
-    monkeypatch.setitem(cli.CHECKS, "pick", lambda n, phi, variant: (False, "forced failure"))
+    monkeypatch.setitem(cli.CHECKS, "pick", lambda target: (False, "forced failure"))
     code, out = run(capsys, ["verify", "--n", "3", "--checks", "pick"])
     assert code == 1
     report = json.loads(out)

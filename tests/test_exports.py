@@ -16,7 +16,8 @@ EXPORTS = [
     "hessian_determinant", "indicator_tensor", "is_joint_flow", "isotropy_at_origin", "metric_inverse",
     "orbit_map_terms", "orbit_point", "parameters_for_point", "partitions", "pick_invariant",
     "poly_from_json_dict", "poly_to_json_dict", "ruling_check", "signature", "span_contains",
-    "symmetry_algebra", "taylor_tensor", "trace", "variables", "variant_surface_4", "weighted_degree_check",
+    "symmetry_algebra", "taylor_tensor", "taylor_tensors", "trace", "variables", "variant_surface_4",
+    "weighted_degree_check",
 ]
 
 

@@ -15,12 +15,13 @@ from cayley.geometry import (
     ruling_check,
     signature,
     taylor_tensor,
+    taylor_tensors,
     trace,
 )
 from cayley.linalg import inertia
 from cayley.poly import Polynomial
 
-from oracles import literal_inertia, literal_pick
+from oracles import literal_inertia, literal_pick, literal_taylor
 
 # Frozen from an independent symbolic computation of det Hess of the graph
 # functions (cross-checked again by cofactor evaluation in test_poly).
@@ -38,11 +39,13 @@ def test_indicator_tensor_examples():
 
 
 def test_indicator_tensor_matches_multiset_filter():
-    # Every index multiset from {1..n-1} of size m, kept when it sums to n.
-    for n in range(3, 13):
+    # Every index multiset from {1..n-1} of size m, kept when it sums to n.  A
+    # multiset of m parts >= 1 that sums to n has no part above n - m + 1, so
+    # the filter runs over those parts only: C(n, m) multisets, not C(n + m - 2, m).
+    for n in range(3, 17):
         for m in range(2, n + 1):
             expected = {
-                key: 1 for key in combinations_with_replacement(range(1, n), m) if sum(key) == n
+                key: 1 for key in combinations_with_replacement(range(1, n - m + 2), m) if sum(key) == n
             }
             assert dict(indicator_tensor(n, m).entries) == expected
 
@@ -78,6 +81,23 @@ def test_taylor_tensor_above_degree_is_zero():
 def test_taylor_tensor_cubic_part():
     t = taylor_tensor(graph_of(cayley_poly(3)), 3)
     assert dict(t.entries) == {(1, 1, 1): Fraction(-1, 3)}
+
+
+def test_taylor_tensors_by_degree_match_the_literal_derivatives():
+    rng = random.Random(53)
+    graphs = [graph_of(cayley_poly(n)) for n in range(3, 7)] + [graph_of(variant_surface_4())]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        terms = [({v: rng.randint(0, 3) for v in rng.sample(range(1, n + 1), rng.randint(0, n))},
+                  Fraction(rng.randint(-5, 5), rng.randint(1, 6))) for _ in range(rng.randint(0, 6))]
+        graphs.append(Polynomial(n, terms))
+    for f in graphs:
+        grouped = taylor_tensors(f)
+        degrees = {sum(e for _, e in mono) for mono in f.terms}
+        assert set(grouped) == degrees
+        for m in range(max(degrees, default=0) + 2):
+            assert taylor_tensor(f, m) == grouped.get(m, SymmetricTensor(m, f.n))
+            assert dict(taylor_tensor(f, m).entries) == literal_taylor(f, m)
 
 
 def test_taylor_tensors_reconstruct_graph_function():

@@ -153,6 +153,12 @@ def test_commutator_matches_literal_oracle():
             assert commutator(x, y) == literal_commutator(x, y)
     empty = AffineVectorField([])
     assert commutator(empty, empty) == literal_commutator(empty, empty) == empty
+    # Denominators 4 and 6: their lcm, 12, exceeds either one.
+    x = AffineVectorField(affine_polys([Fraction(1, 4), 0], [[Fraction(3, 4), 1], [0, Fraction(-1, 4)]]))
+    y = AffineVectorField(affine_polys([0, Fraction(5, 6)], [[Fraction(1, 6), 0], [Fraction(-7, 6), 2]]))
+    assert not commutator(x, y).is_zero()
+    assert commutator(x, y) == literal_commutator(x, y)
+    assert commutator(y, x) == literal_commutator(y, x)
     for n in range(2, 9):
         fields = cayley_fields(n) + [euler_field(n), rand_affine_field(rng, n)]
         for x in fields:
@@ -339,7 +345,7 @@ def test_joint_flow_fails_on_a_wrong_orbit_map():
 def test_orbit_check_agrees_with_the_sampled_oracle():
     for n in range(3, 17):
         phi = cayley_poly(n)
-        assert cli._check_orbit(n, phi, False)[0]
+        assert cli._check_orbit(cli._Target(n, phi, False))[0]
         assert sampled_orbit_check(phi, orbit_point, parameters_for_point)
 
 
@@ -347,11 +353,11 @@ def test_orbit_check_fails_on_a_changed_surface():
     rng = random.Random(31)
     for n in range(3, 11):
         phi = cayley_poly(n)
-        assert not cli._check_orbit(n, phi + Polynomial.constant(n, 1), False)[0]
+        assert not cli._check_orbit(cli._Target(n, phi + Polynomial.constant(n, 1), False))[0]
         monos = sorted(phi.terms)
         for mono in monos if n <= 6 else rng.sample(monos, 3):
             changed = phi + Polynomial(n, [(dict(mono), rng.choice([-2, -1, Fraction(1, 2), 1]))])
-            assert not cli._check_orbit(n, changed, False)[0]
+            assert not cli._check_orbit(cli._Target(n, changed, False))[0]
 
 
 def test_orbit_check_fails_on_doubled_fields(monkeypatch):
@@ -363,7 +369,7 @@ def test_orbit_check_fails_on_doubled_fields(monkeypatch):
     for n in range(3, 11):
         phi = cayley_poly(n)
         assert all(not f.apply(phi) for f in doubled(n))
-        assert not cli._check_orbit(n, phi, False)[0]
+        assert not cli._check_orbit(cli._Target(n, phi, False))[0]
 
 
 def test_phi_is_minus_top_log_coefficient():
