@@ -148,14 +148,13 @@ def trace(tensor: SymmetricTensor, g_inv: SymmetricTensor) -> SymmetricTensor:
         raise ValueError("dimension mismatch")
     products = []
     for (i, j), g_val in g_inv.entries.items():
-        weight = g_val if i == j else 2 * g_val
         for key, t_val in tensor.entries.items():
             if i in key and j in key:
                 rest = list(key)
                 rest.remove(i)
                 if j in rest:
                     rest.remove(j)
-                    products.append((tuple(rest), weight * t_val))
+                    products.append((tuple(rest), (g_val if i == j else 2 * g_val) * t_val))
     return SymmetricTensor._raw(tensor.order - 2, tensor.dim, _collect(products))
 
 
