@@ -9,8 +9,9 @@ invariants  signature / Pick / Hessian / ruling bundle for one surface, JSON
 
 Every report is shaped here; the library modules return values only.
 The verify checks of one target share its facts (shift fields, annihilation,
-graph and Taylor tensors, indicator tensors), each computed on first use; no
-fact crosses targets, and a check run alone computes the facts it reads.
+graph, tensor families with one inverse metric each, which traces and Pick
+contract through), each computed on first use; no fact crosses targets, and a
+check run alone computes the facts it reads.
 All output is deterministic: identical invocations produce identical bytes.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error,
 141 (128 + SIGPIPE) stdout closed by its reader.
@@ -108,9 +109,13 @@ class _Target:
         return geometry.taylor_tensors(self.graph)
 
     @cached_property
-    def indicator(self) -> dict[int, geometry.SymmetricTensor]:
-        """The indicator tensors of orders 2..n, from one walk over the partitions of n."""
-        return {m: geometry.indicator_tensor(self.n, m) for m in range(2, self.n + 1)}
+    def families(self) -> dict[str, tuple[dict[int, geometry.SymmetricTensor], geometry.SymmetricTensor]]:
+        """Each tensor family's tensors by order, with its metric inverted once: the Taylor
+        tensors, and for Phi_n the indicator tensors of orders 2..n (one partition walk)."""
+        families = {"taylor": self.taylor}
+        if not self.variant:
+            families["indicator"] = {m: geometry.indicator_tensor(self.n, m) for m in range(2, self.n + 1)}
+        return {name: (tensors, geometry.metric_inverse(tensors[2])) for name, tensors in families.items()}
 
 
 def _check_annihilation(t: _Target) -> tuple[bool, str]:
@@ -140,18 +145,13 @@ def _check_isotropy(t: _Target) -> tuple[bool, str]:
 
 def _check_traces(t: _Target) -> tuple[bool, str]:
     top = max(t.graph.total_degree(), 3)
-    g_inv = geometry.metric_inverse(t.taylor[2])
-    ok = all(geometry.trace(a, g_inv).is_zero() for m, a in t.taylor.items() if m >= 3)
-    if not t.variant:
-        g_inv = geometry.metric_inverse(t.indicator[2])
-        ok = all(geometry.trace(t.indicator[m], g_inv).is_zero() for m in range(3, t.n + 1)) and ok
+    pairs = [(a, g_inv) for tensors, g_inv in t.families.values() for m, a in tensors.items() if m >= 3]
+    ok = all(geometry.trace(a, g_inv).is_zero() for a, g_inv in pairs)
     return ok, f"metric traces of orders 3..{top} all vanish"
 
 
 def _check_pick(t: _Target) -> tuple[bool, str]:
-    values = {"taylor": geometry.pick_invariant(t.taylor[2], t.taylor[3])}
-    if not t.variant:
-        values["indicator"] = geometry.pick_invariant(t.indicator[2], t.indicator[3])
+    values = {name: geometry.pick_invariant(g_inv, tensors[3]) for name, (tensors, g_inv) in t.families.items()}
     ok = all(v == 0 for v in values.values())
     detail = ", ".join(f"{k} {v}" for k, v in values.items())
     return ok, f"Pick invariant: {detail}"
@@ -203,7 +203,6 @@ CHECKS = {
     "hessian": _check_hessian,
     "orbit": _check_orbit,
 }
-CHECK_ORDER = list(CHECKS)
 
 
 # -- subcommand drivers -------------------------------------------------------
@@ -254,14 +253,14 @@ def _cmd_generate(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    allowed = VARIANT_CHECKS if args.variant else CHECK_ORDER
+    allowed = VARIANT_CHECKS if args.variant else CHECKS
     if args.checks == "all":
         names = list(allowed)
     else:
         names = [c.strip() for c in args.checks.split(",")]
     for i, name in enumerate(names):
-        if name not in CHECK_ORDER:
-            parser.error(f"unknown check {name!r}; choose from {', '.join(CHECK_ORDER)}")
+        if name not in CHECKS:
+            parser.error(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
         if name not in allowed:
             parser.error(f"check {name!r} is not applicable to the variant surface")
         if name in names[:i]:
@@ -330,7 +329,7 @@ def _cmd_invariants(parser, args) -> int:
     f = geometry.graph_of(phi)
     g, a = geometry.taylor_tensor(f, 2), geometry.taylor_tensor(f, 3)
     pos, neg, zero = geometry.signature(g)
-    pick = geometry.pick_invariant(g, a)
+    pick = geometry.pick_invariant(geometry.metric_inverse(g), a)
     hess = geometry.hessian_determinant(f)
     plane_dim, linear = geometry.ruling_check(phi)
     print(json.dumps({

@@ -158,26 +158,26 @@ def trace(tensor: SymmetricTensor, g_inv: SymmetricTensor) -> SymmetricTensor:
     return SymmetricTensor._raw(tensor.order - 2, tensor.dim, _collect(products))
 
 
-def pick_invariant(g: SymmetricTensor, a: SymmetricTensor) -> Fraction:
-    """Full contraction of the cubic tensor with itself through the metric.
+def pick_invariant(g_inv: SymmetricTensor, a: SymmetricTensor) -> Fraction:
+    """Full contraction of the cubic tensor with itself through the inverse metric.
 
-    Computes sum g_il g_jm g_kn a^{ijk} a^{lmn} over all ordered index
-    tuples, with g_.. the inverse metric.  The sparse inverse metric is
-    applied to one slot of the ordered tensor at a time, rotating the slots
+    Takes the inverse metric g_.., as ``trace`` does, so a caller that also
+    takes traces inverts its metric once.  Computes sum g_il g_jm g_kn
+    a^{ijk} a^{lmn} over all ordered index tuples.  The sparse inverse metric
+    is applied to one slot of the ordered tensor at a time, rotating the slots
     after each pass, so three passes give b^{lmn} = sum g_il g_jm g_kn a^{ijk},
     and the invariant is the single dot product sum b^{lmn} a^{lmn}.  The
     passes run on integers: with G and A the lcms of the denominators of the
     inverse metric and of a, on G g_.. and A a, divided by G^3 A^2 at the end.
     """
-    if g.order != 2 or a.order != 3:
-        raise ValueError("need an order-2 metric and an order-3 tensor")
-    if g.dim != a.dim:
+    if g_inv.order != 2 or a.order != 3:
+        raise ValueError("need an order-2 inverse metric and an order-3 tensor")
+    if g_inv.dim != a.dim:
         raise ValueError("dimension mismatch")
-    inverse = metric_inverse(g).entries
-    g_scale = lcm(*(v.denominator for v in inverse.values()))
+    g_scale = lcm(*(v.denominator for v in g_inv.entries.values()))
     a_scale = lcm(*(v.denominator for v in a.entries.values()))
     rows: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), value in inverse.items():
+    for (i, j), value in g_inv.entries.items():
         value = value.numerator * (g_scale // value.denominator)
         rows.setdefault(i, []).append((j, value))
         if i != j:

@@ -150,9 +150,9 @@ def test_criterion_06_ruling_and_split_signature():
 def test_criterion_07_vanishing_pick_invariant():
     def body():
         for n in range(3, 21):
-            assert pick_invariant(indicator_tensor(n, 2), indicator_tensor(n, 3)) == 0
+            assert pick_invariant(metric_inverse(indicator_tensor(n, 2)), indicator_tensor(n, 3)) == 0
             f = graph_of(cayley_poly(n))
-            assert pick_invariant(taylor_tensor(f, 2), taylor_tensor(f, 3)) == 0
+            assert pick_invariant(metric_inverse(taylor_tensor(f, 2)), taylor_tensor(f, 3)) == 0
 
     _criterion(7, "Pick invariant vanishes, n = 3..20", 5, body)
 

@@ -194,7 +194,7 @@ def test_verify_all_checks_pass(capsys):
     assert [r["target"]["n"] for r in report["reports"]] == list(range(3, 9))
     for target_report in report["reports"]:
         names = [c["name"] for c in target_report["checks"]]
-        assert names == cli.CHECK_ORDER
+        assert names == list(cli.CHECKS)
         assert all(c["status"] == "pass" for c in target_report["checks"])
 
 
@@ -249,13 +249,19 @@ def test_verify_computes_each_shared_fact_once_per_target(capsys, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in [(symmetry, "cayley_fields"), (AffineVectorField, "apply"), (geometry, "graph_of"),
-                        (geometry, "taylor_tensors"), (geometry, "indicator_tensor")]:
+                        (geometry, "taylor_tensors"), (geometry, "indicator_tensor"), (geometry, "metric_inverse")]:
         count(owner, name)
     checks = "annihilation,abelian,homogeneity,traces,pick,signature,hessian,orbit"
     assert run(capsys, ["verify", "--n", "5..6", "--checks", checks])[0] == 0
     # Per target n: the shift fields once, X_p Phi once for each of them and H Phi once,
-    # one graph with its Taylor tensors, and one indicator tensor for each order 2..n.
-    assert calls == {"cayley_fields": 2, "apply": 5 + 6, "graph_of": 2, "taylor_tensors": 2, "indicator_tensor": 4 + 5}
+    # one graph with its Taylor tensors, one indicator tensor for each order 2..n, and
+    # one inverse metric for each of the two tensor families, shared by traces and pick.
+    assert calls == {"cayley_fields": 2, "apply": 5 + 6, "graph_of": 2, "taylor_tensors": 2,
+                     "indicator_tensor": 4 + 5, "metric_inverse": 2 + 2}
+    calls.clear()
+    # The variant has the Taylor family only, so its one metric is inverted once.
+    assert run(capsys, ["verify", "--n", "4", "--variant"])[0] == 0
+    assert calls["metric_inverse"] == 1 and calls["indicator_tensor"] == 0
 
 
 def test_verify_unknown_check(capsys):

@@ -181,20 +181,31 @@ def test_trace_validation():
 
 def test_pick_invariant_vanishes_for_both_conventions():
     for n in range(3, 13):
-        assert pick_invariant(indicator_tensor(n, 2), indicator_tensor(n, 3)) == 0
+        assert pick_invariant(metric_inverse(indicator_tensor(n, 2)), indicator_tensor(n, 3)) == 0
         f = graph_of(cayley_poly(n))
-        assert pick_invariant(taylor_tensor(f, 2), taylor_tensor(f, 3)) == 0
+        assert pick_invariant(metric_inverse(taylor_tensor(f, 2)), taylor_tensor(f, 3)) == 0
 
 
 def test_pick_invariant_zero_cubic():
     g = indicator_tensor(5, 2)
-    assert pick_invariant(g, SymmetricTensor(3, 4)) == 0
+    assert pick_invariant(metric_inverse(g), SymmetricTensor(3, 4)) == 0
 
 
 def test_pick_invariant_single_entry():
     g = SymmetricTensor(2, 2, {(1, 1): 1, (2, 2): 1})
     a = SymmetricTensor(3, 2, {(1, 1, 1): 1})
-    assert pick_invariant(g, a) == 1
+    assert pick_invariant(metric_inverse(g), a) == 1
+
+
+def test_pick_invariant_refuses_bad_input():
+    # Matched by message: a wrong order left unchecked would also raise ValueError, from unpacking a key.
+    g_inv, a = metric_inverse(indicator_tensor(5, 2)), indicator_tensor(5, 3)
+    with pytest.raises(ValueError, match="order-2 inverse metric"):
+        pick_invariant(a, a)  # an inverse metric of order 3
+    with pytest.raises(ValueError, match="order-3 tensor"):
+        pick_invariant(g_inv, g_inv)  # a cubic of order 2
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pick_invariant(metric_inverse(indicator_tensor(4, 2)), a)  # dimension 3 against 4
 
 
 def rand_metric(rng, dim):
@@ -225,7 +236,7 @@ def test_pick_invariant_matches_literal_oracle_on_random_tensors():
     for _ in range(30):
         dim = rng.randint(2, 6)
         g, a = rand_metric(rng, dim), rand_cubic(rng, dim)
-        values.append(pick_invariant(g, a))
+        values.append(pick_invariant(metric_inverse(g), a))
         assert values[-1] == literal_pick(g, a)
     assert sum(1 for v in values if v) > 20
 
@@ -233,16 +244,16 @@ def test_pick_invariant_matches_literal_oracle_on_random_tensors():
 def test_pick_invariant_matches_literal_oracle_on_the_family():
     rng = random.Random(33)
     for n in range(3, 9):
-        assert pick_invariant(indicator_tensor(n, 2), indicator_tensor(n, 3)) == literal_pick(
+        assert pick_invariant(metric_inverse(indicator_tensor(n, 2)), indicator_tensor(n, 3)) == literal_pick(
             indicator_tensor(n, 2), indicator_tensor(n, 3)
         )
         for b in (0, 1, Fraction(1, 2), Fraction(-7, 3)):
             f = graph_of(family_poly(n, b))
             g, a = taylor_tensor(f, 2), taylor_tensor(f, 3)
-            assert pick_invariant(g, a) == literal_pick(g, a)
+            assert pick_invariant(metric_inverse(g), a) == literal_pick(g, a)
             # The family's anti-diagonal metric against a random cubic, which need not give 0.
             cubic = rand_cubic(rng, n - 1)
-            assert pick_invariant(g, cubic) == literal_pick(g, cubic)
+            assert pick_invariant(metric_inverse(g), cubic) == literal_pick(g, cubic)
 
 
 def test_signature_split_by_parity():
@@ -335,7 +346,7 @@ def _invariants(phi):
     # The values the `invariants` report is written from, taken from the graph's Taylor tensors.
     f = graph_of(phi)
     g, a = taylor_tensor(f, 2), taylor_tensor(f, 3)
-    return signature(g), pick_invariant(g, a), hessian_determinant(f), ruling_check(phi)
+    return signature(g), pick_invariant(metric_inverse(g), a), hessian_determinant(f), ruling_check(phi)
 
 
 def test_invariants_bundle_pinned():
