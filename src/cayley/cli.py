@@ -327,7 +327,8 @@ def _cmd_invariants(parser, args) -> int:
         parser.error("invariants need n >= 3")
     # From the graph's Taylor tensors; the Hessian value is null unless constant.
     f = geometry.graph_of(phi)
-    g, a = geometry.taylor_tensor(f, 2), geometry.taylor_tensor(f, 3)
+    tensors = geometry.taylor_tensors(f)
+    g, a = (tensors.get(m) or geometry.SymmetricTensor(m, f.n) for m in (2, 3))
     pos, neg, zero = geometry.signature(g)
     pick = geometry.pick_invariant(geometry.metric_inverse(g), a)
     hess = geometry.hessian_determinant(f)

@@ -45,7 +45,8 @@ def _canonical_key(indices: Iterable[int], order: int, dim: int) -> IndexKey:
 
 
 class SymmetricTensor(_Frozen):
-    """A fully symmetric order-m tensor stored by sorted index multiset; unhashable."""
+    """A fully symmetric order-m tensor stored by sorted index multiset; unhashable.
+    ``linalg`` reads an order-2 tensor as sparse rows made from its entries."""
 
     __slots__ = ("order", "dim", "entries")
 
@@ -65,13 +66,15 @@ class SymmetricTensor(_Frozen):
     def is_zero(self) -> bool:
         return not self.entries
 
-    def as_matrix(self) -> list[list[Fraction]]:
-        if self.order != 2:
-            raise ValueError("only an order-2 tensor is a matrix")
-        matrix = [[_ZERO] * self.dim for _ in range(self.dim)]
-        for (i, j), value in self.entries.items():
-            matrix[i - 1][j - 1] = matrix[j - 1][i - 1] = value
-        return matrix
+
+def _matrix_rows(g: SymmetricTensor) -> list[dict[int, Fraction]]:
+    """An order-2 tensor as the sparse rows of its matrix, columns 0..dim-1."""
+    if g.order != 2:
+        raise ValueError("only an order-2 tensor is a matrix")
+    rows: list[dict[int, Fraction]] = [{} for _ in range(g.dim)]
+    for (i, j), value in g.entries.items():
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
+    return rows
 
 
 def indicator_tensor(n: int, m: int) -> SymmetricTensor:
@@ -126,11 +129,8 @@ def taylor_tensor(f: Polynomial, m: int) -> SymmetricTensor:
 
 def metric_inverse(g: SymmetricTensor) -> SymmetricTensor:
     """Exact inverse of an order-2 tensor, viewed as a matrix."""
-    inv = linalg.invert(g.as_matrix())
-    entries = {
-        (i + 1, j + 1): inv[i][j] for i in range(g.dim) for j in range(i, g.dim) if inv[i][j]
-    }
-    return SymmetricTensor(2, g.dim, entries)
+    inv = linalg.invert(_matrix_rows(g))
+    return SymmetricTensor(2, g.dim, {(i + 1, j + 1): v for i, row in enumerate(inv) for j, v in row.items() if i <= j})
 
 
 def trace(tensor: SymmetricTensor, g_inv: SymmetricTensor) -> SymmetricTensor:
@@ -199,7 +199,7 @@ def pick_invariant(g_inv: SymmetricTensor, a: SymmetricTensor) -> Fraction:
 
 def signature(g: SymmetricTensor) -> tuple[int, int, int]:
     """Exact inertia (positive, negative, zero) of an order-2 tensor via rational congruence reduction."""
-    return linalg.inertia(g.as_matrix())
+    return linalg.inertia(_matrix_rows(g))
 
 
 def hessian_determinant(f: Polynomial) -> Polynomial:

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Internal substrate for the symmetry solver (nullspaces, ranks) and the
-geometric invariants (matrix inversion, inertia of symmetric forms).  All
-routines take lists of lists of Fraction-compatible values and never touch
-floating point; nullspace and rank also take rows as maps column -> value.
+geometric invariants (matrix inversion, inertia of symmetric forms).  A
+matrix has one form: a list of sparse rows, each a map column -> value,
+read as exact Fractions (an int or a string entry too), never as floats.
 Nullspace, rank and inversion read one sparse reduced row echelon form,
 built one row at a time; inertia eliminates symmetrically on the same
-sparse rows.
+sparse rows.  Only mat_mul and vec_mat take dense rows: no command calls
+them, and the benchmark tracer binds them by name.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
-Rows = Sequence[Sequence | Mapping[int, object]]
+Rows = Sequence[Mapping[int, object]]
 
 _ZERO = Fraction(0)
 
@@ -32,8 +33,7 @@ def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fract
 def _reduced_echelon(rows: Rows) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form on sparse rows, built one row at a time.
 
-    Each row, dense or a map column -> value, is read as column -> nonzero
-    Fraction and reduced by the reduced rows at the pivot columns it holds;
+    Each row is reduced by the reduced rows at the pivot columns it holds;
     a remainder pivots on its smallest column, which is then cleared from
     the earlier rows.  Returns the nonzero rows, each without its pivot
     entry (which is 1), and their pivot columns, in ascending pivot order.
@@ -44,8 +44,7 @@ def _reduced_echelon(rows: Rows) -> tuple[list[dict[int, Fraction]], list[int]]:
         # `v and` skips the many zeros without building a Fraction, and a
         # Fraction is kept as it is; any other value, such as the string "0",
         # is converted first and then dropped if it is zero.
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
-        row = {j: f for j, v in items if v and (f := v if type(v) is Fraction else Fraction(v))}
+        row = {j: f for j, v in row.items() if v and (f := v if type(v) is Fraction else Fraction(v))}
         for col in [j for j in row if j in reduced]:
             _subtract(row, row.pop(col), reduced[col])
         if not row:
@@ -67,18 +66,13 @@ def rank(rows: Rows) -> int:
     return len(_reduced_echelon(rows)[1])
 
 
-def nullspace(rows: Rows, ncols: int | None = None) -> list[list[Fraction]]:
-    """Deterministic rational basis of the right nullspace.
+def nullspace(rows: Rows, ncols: int) -> list[list[Fraction]]:
+    """Deterministic rational basis of the right nullspace of rows in columns 0..ncols-1.
 
-    Rows are dense or maps column -> value (then ncols is required), reduced
-    one at a time; an entry outside columns 0..ncols-1 is a ValueError.  One
-    basis vector per free column of the reduced form, in ascending order,
-    each normalized so its first nonzero entry is 1.
+    An entry outside those columns is a ValueError.  One basis vector per
+    free column of the reduced form, in ascending order, each normalized so
+    its first nonzero entry is 1.
     """
-    if ncols is None:
-        if not rows or isinstance(rows[0], Mapping):
-            raise ValueError("ncols required for an empty system or map rows")
-        ncols = len(rows[0])
     reduced, pivots = _reduced_echelon(rows)
     # The reduced rows span the input rows, so they show every column used.
     if not all(0 <= j < ncols for row in (pivots, *reduced) for j in row):
@@ -110,20 +104,19 @@ def vec_mat(v: Sequence, a: Sequence[Sequence]) -> list[Fraction]:
     return [sum((Fraction(v[i]) * Fraction(a[i][j]) for i in range(len(v))), Fraction(0)) for j in range(cols)]
 
 
-def invert(matrix: Sequence[Sequence]) -> Matrix:
-    """Exact inverse by reducing [A | I]; ValueError if singular."""
+def invert(matrix: Rows) -> list[dict[int, Fraction]]:
+    """Exact inverse, as sparse rows, by reducing [A | I]; ValueError if singular or not square."""
     size = len(matrix)
-    if any(len(row) != size for row in matrix):
+    if any(not 0 <= j < size for row in matrix for j in row):
         raise ValueError("matrix is not square")
-    reduced, pivots = _reduced_echelon(
-        [list(row) + [int(i == j) for j in range(size)] for i, row in enumerate(matrix)]
-    )
+    reduced, pivots = _reduced_echelon([{**row, size + i: 1} for i, row in enumerate(matrix)])
     if pivots != list(range(size)):
         raise ValueError("singular matrix")
-    return [[row.get(size + j, _ZERO) for j in range(size)] for row in reduced]
+    # Every column of A is a pivot, so each reduced row holds only columns of I.
+    return [{j - size: v for j, v in row.items()} for row in reduced]
 
 
-def inertia(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
+def inertia(matrix: Rows) -> tuple[int, int, int]:
     """Exact inertia (positive, negative, zero) of a symmetric matrix.
 
     Symmetric elimination on sparse rows: each step pivots on a nonzero
@@ -134,9 +127,9 @@ def inertia(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
     empty are the zero directions.
     """
     size = len(matrix)
-    if any(len(row) != size for row in matrix):
+    if any(not 0 <= j < size for row in matrix for j in row):
         raise ValueError("matrix is not square")
-    rows = {i: {j: f for j, v in enumerate(r) if v and (f := Fraction(v))} for i, r in enumerate(matrix)}
+    rows = {i: {j: f for j, v in r.items() if v and (f := Fraction(v))} for i, r in enumerate(matrix)}
     if any(rows[j].get(i) != v for i, row in rows.items() for j, v in row.items()):
         raise ValueError("matrix is not symmetric")
     pos = neg = 0

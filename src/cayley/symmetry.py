@@ -335,7 +335,8 @@ def isotropy_at_origin(p: Polynomial) -> SymmetryAlgebra:
 
 def span_contains(algebra: SymmetryAlgebra, fields: Sequence[AffineVectorField]) -> bool:
     """True iff every given field lies in the rational span of the basis; ValueError if their n differ."""
-    rows = [f.flatten() for f in (*algebra.basis, *fields)]
-    if len({len(row) for row in rows}) > 1:  # a field on n-space has n + n^2 coordinates
+    vectors = (*algebra.basis, *fields)
+    if len({f.n for f in vectors}) > 1:
         raise ValueError("dimension mismatch")
+    rows = [dict(enumerate(f.flatten())) for f in vectors]
     return linalg.rank(rows) == linalg.rank(rows[: algebra.dimension])

@@ -86,6 +86,11 @@ def scalar_det(m: list[list[Fraction]]) -> Fraction:
     return det
 
 
+def sparse_rows(matrix: list[list]) -> list[dict[int, object]]:
+    """Dense rows as the maps column -> value that cayley.linalg takes, zeros kept."""
+    return [dict(enumerate(row)) for row in matrix]
+
+
 def literal_inertia(matrix: list[list[Fraction]]) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from cayley.linalg import inertia, invert, mat_mul, nullspace, rank
 
-from oracles import literal_inertia, rref_nullity
+from oracles import literal_inertia, rref_nullity, sparse_rows
 
 
 def rand_matrix(rng, nrows, ncols, density):
@@ -60,16 +61,15 @@ def check_basis(rows, ncols, basis):
 def test_nullspace_and_rank_on_random_systems(seed):
     rng = random.Random(1000 + seed)
     for rows, ncols in random_systems(seed):
-        basis = nullspace(rows, ncols)
+        basis = nullspace(sparse_rows(rows), ncols)
         check_basis(rows, ncols, basis)
-        assert nullspace(rows) == basis
         nullity = rref_nullity(rows, ncols)
         assert len(basis) == nullity
-        assert rank(rows) == ncols - nullity
-        # The same system as column -> value maps without zeros, and with its
-        # rows shuffled: the reduced form, hence basis and rank, is unchanged.
+        assert rank(sparse_rows(rows)) == ncols - nullity
+        # The same system without its zeros, and with its rows shuffled: the
+        # reduced form, hence basis and rank, is unchanged.
         maps = [{j: v for j, v in enumerate(row) if v} for row in rows]
-        shuffled = rng.sample(rows, len(rows))
+        shuffled = sparse_rows(rng.sample(rows, len(rows)))
         for same in (maps, shuffled):
             assert nullspace(same, ncols) == basis
             assert rank(same) == ncols - nullity
@@ -77,39 +77,32 @@ def test_nullspace_and_rank_on_random_systems(seed):
 
 def test_nullspace_basis_convention():
     # x0 + x1 = 0, x2 = 2 x3: free columns 1 and 3.
-    rows = [[1, 1, 0, 0], [0, 0, 1, -2], [2, 2, 0, 0]]
-    assert nullspace(rows) == [[1, -1, 0, 0], [0, 0, 1, Fraction(1, 2)]]
+    rows = sparse_rows([[1, 1, 0, 0], [0, 0, 1, -2], [2, 2, 0, 0]])
+    assert nullspace(rows, ncols=4) == [[1, -1, 0, 0], [0, 0, 1, Fraction(1, 2)]]
     assert rank(rows) == 2
 
 
 def test_string_entries_are_read_as_fractions():
     # "0" is a zero entry, not a truthy string that could become a pivot.
-    rows = [["0", "1/2"], ["0", "0"]]
-    assert nullspace(rows) == [[1, 0]]
+    rows = sparse_rows([["0", "1/2"], ["0", "0"]])
+    assert nullspace(rows, ncols=2) == [[1, 0]]
     assert rank(rows) == 1
-    assert invert([["0", "2"], ["1/3", "0"]]) == [[0, 3], [Fraction(1, 2), 0]]
+    assert invert(sparse_rows([["0", "2"], ["1/3", "0"]])) == [{1: 3}, {0: Fraction(1, 2)}]
     with pytest.raises(ValueError, match="singular"):
-        invert([["0", "0"], ["0", "1"]])
+        invert(sparse_rows([["0", "0"], ["0", "1"]]))
 
 
 def test_empty_system():
     assert nullspace([], ncols=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert nullspace([], ncols=0) == []
     assert rank([]) == 0
-    with pytest.raises(ValueError):
-        nullspace([])
-    # A map row does not tell the column count.
-    with pytest.raises(ValueError):
-        nullspace([{0: 1}])
     assert nullspace([{0: 1}], ncols=2) == [[0, 1]]
 
 
 def test_nullspace_refuses_entries_outside_the_columns():
-    for rows, ncols in (([[1, 2, 3]], 2), ([{5: 1}], 3), ([{-1: 1}], 3), ([[1, 1], [0, 0, 4]], 2)):
+    for rows, ncols in (([{0: 1, 1: 2, 2: 3}], 2), ([{5: 1}], 3), ([{-1: 1}], 3), ([{0: 1, 1: 1}, {2: 4}], 2)):
         with pytest.raises(ValueError, match="outside columns"):
             nullspace(rows, ncols)
-    # A dense row shorter than ncols has zeros in the columns it leaves out.
-    assert nullspace([[1, 2]], ncols=3) == [[1, Fraction(-1, 2), 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -120,9 +113,9 @@ def test_invert_random_matrices(seed):
             m = rand_matrix(rng, size, size, density)
             if rref_nullity(m, size):
                 with pytest.raises(ValueError, match="singular"):
-                    invert(m)
+                    invert(sparse_rows(m))
                 continue
-            inv = invert(m)
+            inv = [[row.get(j, 0) for j in range(size)] for row in invert(sparse_rows(m))]
             identity = [[int(i == j) for j in range(size)] for i in range(size)]
             assert mat_mul(m, inv) == identity
             assert mat_mul(inv, m) == identity
@@ -130,14 +123,11 @@ def test_invert_random_matrices(seed):
 
 def test_invert_singular_and_non_square():
     assert invert([]) == []
-    with pytest.raises(ValueError, match="singular"):
-        invert([[1, 2], [2, 4]])
-    with pytest.raises(ValueError, match="singular"):
-        invert([[0, 0], [0, 0]])
-    with pytest.raises(ValueError, match="singular"):
-        invert([[0, 1], [0, 1]])
+    for singular in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0, 1], [0, 1]]):
+        with pytest.raises(ValueError, match="singular"):
+            invert(sparse_rows(singular))
     with pytest.raises(ValueError, match="not square"):
-        invert([[1, 2]])
+        invert(sparse_rows([[1, 2]]))
 
 
 def rand_symmetric(rng, size):
@@ -170,13 +160,48 @@ def test_inertia_matches_the_characteristic_polynomial(seed):
     for size in range(10):
         for _ in range(8):
             m = rand_symmetric(rng, size)
-            assert inertia(m) == literal_inertia(m)
+            assert inertia(sparse_rows(m)) == literal_inertia(m)
 
 
 def test_inertia_refuses_non_square_and_asymmetric_input():
-    for m in ([[1, 2, 3], [2, 1, 0]], [[1], [1, 2]], [[1, 2]], [[]]):
+    for m in ([[1, 2, 3], [2, 1, 0]], [[1, 2]]):
         with pytest.raises(ValueError, match="not square"):
-            inertia(m)
+            inertia(sparse_rows(m))
     with pytest.raises(ValueError, match="not symmetric"):
-        inertia([[0, 1], [2, 0]])
+        inertia(sparse_rows([[0, 1], [2, 0]]))
     assert inertia([]) == (0, 0, 0)
+
+
+def test_invert_and_inertia_refuse_columns_outside_the_rows():
+    # Sparse rows say nothing of a row length: a square matrix of size m is
+    # m rows with every column in 0..m-1, so any other column is "not square".
+    for rows in ([{0: 1, 2: 1}, {1: 1}], [{0: 1}, {1: 1, 5: 2}], [{-1: 1}], [{0: 1}, {-1: 0, 1: 1}], [{1: 1}]):
+        for routine in (invert, inertia):
+            with pytest.raises(ValueError, match="not square"):
+                routine(rows)
+    # Inside the columns, an asymmetric matrix is still refused by inertia, and
+    # a missing row entry is a zero, not a short row.
+    with pytest.raises(ValueError, match="not symmetric"):
+        inertia([{0: 1}, {0: 1, 1: 2}])
+    assert inertia([{}]) == (0, 0, 1)
+    assert invert([{1: 2}, {0: 3}]) == [{1: Fraction(1, 3)}, {0: Fraction(1, 2)}]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_routines_leave_their_input_rows_unchanged(seed):
+    rng = random.Random(300 + seed)
+    for size in range(1, 7):
+        square = sparse_rows(rand_matrix(rng, size, size, 0.6))
+        symmetric = sparse_rows(rand_symmetric(rng, size))
+        for rows in (square, symmetric, [{j: v for j, v in row.items() if v} for row in square]):
+            before = copy.deepcopy(rows)
+            nullspace(rows, ncols=size)
+            rank(rows)
+            try:
+                invert(rows)
+            except ValueError:  # singular
+                pass
+            assert rows == before
+        before = copy.deepcopy(symmetric)
+        inertia(symmetric)
+        assert symmetric == before
