@@ -80,15 +80,15 @@ def _guard_n(parser: argparse.ArgumentParser, worst: int, force: bool) -> None:
 
 
 class _Target:
-    """One verify target, n with Phi_n or the variant, and the facts its checks share.
+    """One verify target, Phi_n or the variant, and the facts its checks share; n is phi.n.
 
     Each fact is computed on first use and kept for the target's other
     checks, never for another target.  A check reads every fact it needs
     from here, so a check run alone computes them itself and stays a proof.
     """
 
-    def __init__(self, n: int, phi: Polynomial, variant: bool):
-        self.n, self.phi, self.variant = n, phi, variant
+    def __init__(self, phi: Polynomial, variant: bool):
+        self.phi, self.variant, self.n = phi, variant, phi.n
 
     @cached_property
     def fields(self) -> list[symmetry.AffineVectorField]:
@@ -274,7 +274,7 @@ def _cmd_verify(parser, args) -> int:
     reports = []
     overall = True
     for phi, source in surfaces:
-        facts = _Target(phi.n, phi, source == "variant")
+        facts = _Target(phi, source == "variant")
         checks = []
         target_pass = True
         for name in names:

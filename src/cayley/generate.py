@@ -10,10 +10,11 @@ to N.  The d = 1 term is -x_N, the only occurrence of x_N, so the surface
 is the graph x_N = f(x_1, ..., x_{N-1}).
 
 Tuples that reorder the same parts give the same monomial, so Phi_N is
-built from one pass over the partitions of N: the monomial of a partition
-with d parts and multiplicities m_v collects its d!/prod m_v! orderings and
-carries coefficient (-1)^d (d-1)! / prod m_v!.  The literal sum over ordered
-tuples is kept in the test suite as the reference.
+built from partitions(N, d) for d = 1..N, the partitions of N into d parts
+(also the keys of geometry's indicator tensors): the monomial of one with
+multiplicities m_v collects its d!/prod m_v! orderings and carries
+coefficient (-1)^d (d-1)! / prod m_v!.  The literal sum over ordered tuples
+is kept in the test suite as the reference.
 
 A one-parameter deformation replaces the 1/d prefactor by
 (1/d!) prod_{k=0}^{d-3} [(1-b)k + 2]; at b = 0 this is Phi_N again, and
@@ -31,24 +32,25 @@ from .poly import Polynomial, Scalar
 __all__ = ["cayley_poly", "family_poly", "family_prefactor", "partitions", "variant_surface_4"]
 
 
-def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as weakly decreasing tuples in reverse lexicographic
-    order, (n) first: () alone for n = 0, none for n < 0.  Each next one
-    lowers the last part above 1 by one and refills greedily, parts no larger."""
-    if n < 0:
-        return
-    parts = [n] if n else []
-    while True:
-        yield tuple(parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
+def partitions(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into exactly m parts as ascending tuples, in
+    lexicographic order: () alone for n = m = 0, none if there is no such one."""
+
+    def ascending(prefix: tuple[int, ...], total: int, count: int, low: int) -> Iterator[tuple[int, ...]]:
+        # prefix + each partition of total into count >= 2 parts, all at least low.
+        if count == 2:
+            for first in range(low, total // 2 + 1):
+                yield prefix + (first, total - first)
             return
-        parts[-1] -= 1
-        count, rest = divmod(ones + 1, parts[-1])
-        parts += [parts[-1]] * count + ([rest] if rest else [])
+        for first in range(low, total // count + 1):
+            yield from ascending(prefix + (first,), total - first, count - 1, first)
+
+    if m == 1 and n > 0:
+        yield (n,)
+    elif 1 < m <= n:
+        yield from ascending((), n, m, 1)
+    elif m == n == 0:
+        yield ()
 
 
 def family_prefactor(d: int, b: Scalar) -> Fraction:
@@ -75,16 +77,17 @@ def family_poly(n: int, b: Scalar) -> Polynomial:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    prefactors = [family_prefactor(d, b) for d in range(1, n + 1)]
     terms = {}
-    for lam in partitions(n):
-        # Distinct partitions give distinct monomials, each built in canonical order.
-        mono = tuple((part, lam.count(part)) for part in sorted(set(lam)))
-        orderings = factorial(len(lam))
-        for _, mult in mono:
-            orderings //= factorial(mult)
-        if coeff := prefactors[len(lam) - 1] * orderings:
-            terms[mono] = coeff
+    for d in range(1, n + 1):
+        prefactor = family_prefactor(d, b)
+        for lam in partitions(n, d):
+            # Distinct partitions give distinct monomials, each built in canonical order.
+            mono = tuple((part, lam.count(part)) for part in sorted(set(lam)))
+            orderings = factorial(d)
+            for _, mult in mono:
+                orderings //= factorial(mult)
+            if coeff := prefactor * orderings:
+                terms[mono] = coeff
     return Polynomial._raw(n, terms)
 
 

@@ -11,20 +11,21 @@ exposed:
   coefficient of a monomial is spread evenly over the orderings of its
   indices.
 
-Both carry the same sparsity pattern for the Cayley graphs, so the trace and
-Pick computations are run over both in the test suite.  The functions return
+Both carry the same sparsity pattern for the Cayley graphs, and ``verify``'s
+traces and pick checks contract both families for Phi_N.  The functions return
 values (tensors, rationals, polynomials, tuples); the ``invariants`` report is
 written by ``cli``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm
 
 from . import linalg
+from .generate import partitions
 from .poly import _ONE, _ZERO, Polynomial, PolyMatrix, Scalar, _collect, _Frozen, determinant
 
 __all__ = [
@@ -80,25 +81,15 @@ def _matrix_rows(g: SymmetricTensor) -> list[dict[int, Fraction]]:
 def indicator_tensor(n: int, m: int) -> SymmetricTensor:
     """Order-m tensor on {1..n-1} with entry 1 whenever the indices sum to n.
 
-    Only the partitions of n into m parts are visited, so the tensors of
-    all orders together walk the partitions of n once, grouped by length.
+    Its keys are generate.partitions(n, m), the partitions of n into m parts,
+    so the tensors of orders 2..n together hold every term of Phi_n but -x_n.
     """
     if m < 2:
         raise ValueError("order must be at least 2")
     if n < 3:
         raise ValueError("need n >= 3")
     # With m >= 2 parts every part is below n, so every key is in range.
-    return SymmetricTensor._raw(m, n - 1, {key: _ONE for key in _partitions_into(n, m)})
-
-
-def _partitions_into(n: int, m: int, low: int = 1) -> Iterator[IndexKey]:
-    """The partitions of n into exactly m parts, each at least low, as ascending tuples."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(low, n // m + 1):
-        for rest in _partitions_into(n - first, m - 1, first):
-            yield (first, *rest)
+    return SymmetricTensor._raw(m, n - 1, {key: _ONE for key in partitions(n, m)})
 
 
 def taylor_tensors(f: Polynomial) -> dict[int, SymmetricTensor]:

@@ -216,6 +216,11 @@ def orbit_map_terms(n: int) -> list[dict[tuple[int, ...], int]]:
     The term t_(mu_1) t_(mu_2) ... of C_h is keyed by the partition mu of h,
     parts < n, largest first.  As exp(t_i s^i) = sum_m t_i^m s^(i m) / m!, its
     coefficient is the integer n!/prod m_i!, m_i the number of parts equal to i.
+
+    Built one factor at a time, not from generate.partitions: each coefficient
+    is its predecessor's divided by one integer, no multiplicity is counted,
+    and keys come largest part first, as is_joint_flow reads them.  From the
+    enumerator the build took several times as long at n = 30.
     """
     if n < 2:
         raise ValueError("need n >= 2")

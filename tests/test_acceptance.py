@@ -166,21 +166,21 @@ def test_criterion_08_interpolating_family():
         # b = 1: prefactor (-1)^d 2^(d-2)/d! against a literal product loop.
         for n in range(1, 9):
             p = family_poly(n, 1)
-            for lam in partitions(n):
-                d = len(lam)
-                product = 1
-                for k in range(d - 2):
-                    product *= (1 - 1) * k + 2
-                exps: dict[int, int] = {}
-                orderings = factorial(d)
-                for part in lam:
-                    exps[part] = exps.get(part, 0) + 1
-                for mult in exps.values():
-                    orderings //= factorial(mult)
-                expected = Fraction((-1) ** d * product, factorial(d)) * orderings
-                if d >= 2:
-                    assert expected == Fraction((-1) ** d * 2 ** (d - 2), factorial(d)) * orderings
-                assert p.coefficient(exps) == expected
+            for d in range(n + 1):
+                for lam in partitions(n, d):
+                    product = 1
+                    for k in range(d - 2):
+                        product *= (1 - 1) * k + 2
+                    exps: dict[int, int] = {}
+                    orderings = factorial(d)
+                    for part in lam:
+                        exps[part] = exps.get(part, 0) + 1
+                    for mult in exps.values():
+                        orderings //= factorial(mult)
+                    expected = Fraction((-1) ** d * product, factorial(d)) * orderings
+                    if d >= 2:
+                        assert expected == Fraction((-1) ** d * 2 ** (d - 2), factorial(d)) * orderings
+                    assert p.coefficient(exps) == expected
 
     _criterion(8, "family: b=0 is the base surface; b=1 coefficients exact", 10, body)
 
@@ -216,8 +216,9 @@ def test_closed_form_coefficients_cross_check():
     # coefficient agrees with the generated polynomial everywhere.
     for n in range(1, 13):
         phi = cayley_poly(n)
-        for lam in partitions(n):
-            exps: dict[int, int] = {}
-            for part in lam:
-                exps[part] = exps.get(part, 0) + 1
-            assert phi.coefficient(exps) == coefficient_closed_form(n, lam)
+        for d in range(n + 1):
+            for lam in partitions(n, d):
+                exps: dict[int, int] = {}
+                for part in lam:
+                    exps[part] = exps.get(part, 0) + 1
+                assert phi.coefficient(exps) == coefficient_closed_form(n, lam)

@@ -144,12 +144,13 @@ def test_coefficient_closed_form_exhaustive():
     for n in range(1, 13):
         phi = cayley_poly(n)
         count = 0
-        for lam in partitions(n):
-            exps = {}
-            for part in lam:
-                exps[part] = exps.get(part, 0) + 1
-            assert phi.coefficient(exps) == coefficient_closed_form(n, lam)
-            count += 1
+        for d in range(n + 1):
+            for lam in partitions(n, d):
+                exps = {}
+                for part in lam:
+                    exps[part] = exps.get(part, 0) + 1
+                assert phi.coefficient(exps) == coefficient_closed_form(n, lam)
+                count += 1
         assert count == len(phi.terms)
 
 
@@ -184,19 +185,19 @@ def test_family_b1_coefficients():
     # collapsed monomials that picks up the number of orderings.
     for n in range(1, 9):
         p = family_poly(n, 1)
-        for lam in partitions(n):
-            d = len(lam)
-            exps = {}
-            orderings = factorial(d)
-            for part in lam:
-                exps[part] = exps.get(part, 0) + 1
-            for mult in exps.values():
-                orderings //= factorial(mult)
-            if d == 1:
-                expected = Fraction(-1)
-            else:
-                expected = Fraction((-1) ** d * 2 ** (d - 2), factorial(d)) * orderings
-            assert p.coefficient(exps) == expected
+        for d in range(n + 1):
+            for lam in partitions(n, d):
+                exps = {}
+                orderings = factorial(d)
+                for part in lam:
+                    exps[part] = exps.get(part, 0) + 1
+                for mult in exps.values():
+                    orderings //= factorial(mult)
+                if d == 1:
+                    expected = Fraction(-1)
+                else:
+                    expected = Fraction((-1) ** d * 2 ** (d - 2), factorial(d)) * orderings
+                assert p.coefficient(exps) == expected
 
 
 def test_family_d3_coefficient_independent_of_b():
@@ -244,15 +245,32 @@ def test_monomial_count_matches_partition_numbers():
 
 
 def test_partitions_match_literal_oracle():
+    # For each part count m: the oracle's partitions of length m, each reversed to
+    # ascending order, sorted; over all m, every partition of n once.
+    counts = partition_counts(25)
     for n in range(26):
-        assert list(partitions(n)) == list(literal_partitions(n))
+        literal = list(literal_partitions(n))
+        union = []
+        for m in range(n + 2):
+            by_count = list(partitions(n, m))
+            assert by_count == sorted(lam[::-1] for lam in literal if len(lam) == m)
+            union += by_count
+        assert len(set(union)) == len(union) == counts[n]
 
 
 def test_partitions_at_the_edges():
-    # 0 has one partition, the empty one; a negative number has none, not (n,).
-    assert list(partitions(0)) == [()]
-    for n in (-1, -2, -7):
-        assert list(partitions(n)) == []
+    # 0 has one partition, the empty one with no parts. A positive number has none
+    # with no parts or with more parts than itself, and a negative number or part
+    # count has none, not (n,).
+    assert list(partitions(0, 0)) == [()]
+    for n in range(1, 8):
+        assert list(partitions(n, 0)) == []
+        assert list(partitions(n, 1)) == [(n,)]
+        assert list(partitions(n, n)) == [(1,) * n]
+        for m in (n + 1, n + 5, -1, -n):
+            assert list(partitions(n, m)) == []
+    for n, m in ((0, 1), (0, 2), (0, -1), (-1, 0), (-1, 1), (-2, 2), (-7, -7), (-7, 3)):
+        assert list(partitions(n, m)) == []
 
 
 def test_graph_variable_occurs_once_with_coefficient_minus_one():
