@@ -331,8 +331,6 @@ def symmetry_algebra(p: Polynomial) -> SymmetryAlgebra:
 
 def isotropy_at_origin(p: Polynomial) -> SymmetryAlgebra:
     """Purely linear fields X with X p = c p; requires p(0) = 0, that is, no constant term."""
-    if not p:
-        raise ValueError("polynomial must be nonzero")
     if () in p.terms:
         raise ValueError("origin is not on the hypersurface p = 0")
     return _eigen_system(p, include_constant=False)

@@ -175,6 +175,12 @@ def dense_scale(terms: dict, factor: Fraction) -> dict:
     return {k: v * factor for k, v in terms.items() if v * factor}
 
 
+def dense_add(a: dict, b: dict) -> dict:
+    """The sum of two dense dictionaries, coefficient by coefficient, without zeros."""
+    out = {k: a.get(k, Fraction(0)) + b.get(k, Fraction(0)) for k in a.keys() | b.keys()}
+    return {k: v for k, v in out.items() if v}
+
+
 def all_exponents(n_vars: int, max_degree: int) -> list[tuple[int, ...]]:
     """Every exponent tuple with total degree <= max_degree, densely."""
     out: list[tuple[int, ...]] = [()]

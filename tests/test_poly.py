@@ -13,6 +13,7 @@ from cayley.poly import (
     divide_exact,
     format_latex,
     format_plain,
+    mono_div,
     poly_from_json_dict,
     poly_to_json_dict,
     variables,
@@ -24,8 +25,10 @@ from cayley.symmetry import cayley_fields
 
 from oracles import (
     cofactor_det,
+    dense_add,
     dense_diff,
     dense_from_sparse,
+    dense_scale,
     literal_evaluate,
     literal_substitute,
     nilpotent_flow,
@@ -526,6 +529,55 @@ def test_constructor_sums_repeated_and_drops_cancelled_monomials():
             key = tuple((v, e) for v, e in sorted(exps.items()) if e)
             expected[key] = expected.get(key, Fraction(0)) + coeff
         assert Polynomial(2, terms).terms == {k: c for k, c in expected.items() if c}
+
+
+def test_sum_difference_negation_and_division_match_dense_oracle():
+    rng, cases = sparse_cases(24)
+    minus_one = Fraction(-1)
+    for p in cases:
+        n = p.n
+        q = sparse_poly(rng, n, absent=rng.randint(1, n))
+        # r cancels about half of p's terms; its input carries zero coefficients on
+        # a new monomial and on the constant, which must not be stored.
+        cancel = [(dict(m), -c) for m, c in p.terms.items() if rng.random() < 0.5]
+        r = Polynomial(n, cancel + [({1: 4}, 0), ({}, 0)]) + q
+        for a, b in ((p, q), (p, r), (r, p), (q, q)):
+            da, db = dense_from_sparse(a), dense_from_sparse(b)
+            assert dense_from_sparse(a + b) == dense_add(da, db)
+            assert dense_from_sparse(a - b) == dense_add(da, dense_scale(db, minus_one))
+        dp = dense_from_sparse(p)
+        assert dense_from_sparse(-p) == dense_scale(dp, minus_one)
+        for c in (1, -3, Fraction(2, 7), Fraction(-5, 3)):
+            assert dense_from_sparse(p / c) == dense_scale(dp, 1 / Fraction(c))
+        for zero in (0, Fraction(0)):  # the zero polynomial (cases[0]) included
+            with pytest.raises(ZeroDivisionError):
+                p / zero
+        # Sums that cancel to the zero polynomial, against a copy built term by term.
+        copy = Polynomial(n, [(dict(m), c) for m, c in p.terms.items()] + [({n: 2}, 0)])
+        for zero in (p - copy, p + -copy, -p + copy, (p + q) - (q + copy)):
+            assert zero.terms == {} and zero == Polynomial.zero(n)
+
+
+def test_mono_div_matches_exponent_subtraction():
+    rng = random.Random(25)
+
+    def mono(vec):
+        return tuple((v + 1, e) for v, e in enumerate(vec) if e)
+
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        b = [rng.randint(0, 3) for _ in range(n)]
+        a = [e + rng.randint(0, 3) for e in b]
+        assert mono_div(mono(a), mono(b)) == mono([x - y for x, y in zip(a, b)])
+        assert mono_div(mono(a), mono(a)) == ()
+        assert mono_div(mono(a), ()) == mono(a)
+        # b with a larger exponent on a variable of a, or with a variable a lacks.
+        j = rng.randrange(n)
+        larger = a[:j] + [a[j] + rng.randint(1, 2)] + a[j + 1 :]
+        assert mono_div(mono(a), mono(larger)) is None
+        assert mono_div(mono(a), mono(a + [1])) is None
+        lacking = a[:j] + [0] + a[j + 1 :]
+        assert mono_div(mono(lacking), mono(b[:j] + [1] + b[j + 1 :])) is None
 
 
 # -- ring axioms, Leibniz and JSON as properties ------------------------------

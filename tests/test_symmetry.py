@@ -457,8 +457,9 @@ def test_symmetry_algebra_of_round_paraboloid():
 
 
 def test_symmetry_algebra_rejects_zero_polynomial():
-    with pytest.raises(ValueError):
-        symmetry_algebra(Polynomial.zero(3))
+    for solve in (symmetry_algebra, isotropy_at_origin):
+        with pytest.raises(ValueError, match="polynomial must be nonzero"):
+            solve(Polynomial.zero(3))
 
 
 def test_isotropy_one_dimensional_spanned_by_euler():
