@@ -24,11 +24,13 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+
+import cayley  # geometry and symmetry load on first use, through the lazy package
 
 from . import generate as gen
-from . import geometry, symmetry
 from .poly import (
     Polynomial,
     format_latex,
@@ -91,8 +93,8 @@ class _Target:
         self.phi, self.variant, self.n = phi, variant, phi.n
 
     @cached_property
-    def fields(self) -> list[symmetry.AffineVectorField]:
-        return symmetry.cayley_fields(self.n)
+    def fields(self) -> list[cayley.symmetry.AffineVectorField]:
+        return cayley.symmetry.cayley_fields(self.n)
 
     @cached_property
     def annihilated(self) -> bool:
@@ -101,21 +103,22 @@ class _Target:
 
     @cached_property
     def graph(self) -> Polynomial:
-        return geometry.graph_of(self.phi)
+        return gen.graph_of(self.phi)
 
     @cached_property
-    def taylor(self) -> dict[int, geometry.SymmetricTensor]:
+    def taylor(self) -> dict[int, cayley.geometry.SymmetricTensor]:
         """The graph's Taylor tensors by degree, from one pass over its terms."""
-        return geometry.taylor_tensors(self.graph)
+        return cayley.geometry.taylor_tensors(self.graph)
 
     @cached_property
-    def families(self) -> dict[str, tuple[dict[int, geometry.SymmetricTensor], geometry.SymmetricTensor]]:
-        """Each tensor family's tensors by order, with its metric inverted once: the Taylor
-        tensors, and for Phi_n the indicator tensors of orders 2..n (one partition walk)."""
-        families = {"taylor": self.taylor}
+    def families(self) -> dict[str, tuple[Callable[[int], cayley.geometry.SymmetricTensor | None],
+                                          cayley.geometry.SymmetricTensor]]:
+        """Each tensor family's tensor of each order (None if it has none), with its metric inverted
+        once: the Taylor tensors, and for Phi_n the indicator tensors, each order built on first use."""
+        families = {"taylor": self.taylor.get}
         if not self.variant:
-            families["indicator"] = {m: geometry.indicator_tensor(self.n, m) for m in range(2, self.n + 1)}
-        return {name: (tensors, geometry.metric_inverse(tensors[2])) for name, tensors in families.items()}
+            families["indicator"] = cache(partial(cayley.geometry.indicator_tensor, self.n))
+        return {name: (tensor, cayley.geometry.metric_inverse(tensor(2))) for name, tensor in families.items()}
 
 
 def _check_annihilation(t: _Target) -> tuple[bool, str]:
@@ -124,41 +127,41 @@ def _check_annihilation(t: _Target) -> tuple[bool, str]:
 
 def _check_abelian(t: _Target) -> tuple[bool, str]:
     fields = t.fields
-    ok = all(symmetry.commutator(x, y).is_zero() for i, x in enumerate(fields) for y in fields[i + 1 :])
+    ok = all(cayley.symmetry.commutator(x, y).is_zero() for i, x in enumerate(fields) for y in fields[i + 1 :])
     return ok, f"all pairwise commutators of the {t.n - 1} shift fields vanish"
 
 
 def _check_homogeneity(t: _Target) -> tuple[bool, str]:
     n = t.n
     graded = weighted_degree_check(t.phi, list(range(1, n + 1)), n)
-    scales = symmetry.euler_field(n).apply(t.phi) == t.phi * n
+    scales = cayley.symmetry.euler_field(n).apply(t.phi) == t.phi * n
     return graded and scales, f"weight-{n} homogeneous and H Phi = {n} Phi"
 
 
 def _check_isotropy(t: _Target) -> tuple[bool, str]:
-    iso = symmetry.isotropy_at_origin(t.phi)
+    iso = cayley.symmetry.isotropy_at_origin(t.phi)
     if t.variant:
         return iso.dimension == 2, f"linear isotropy dimension {iso.dimension} (expected 2)"
-    ok = iso.dimension == 1 and symmetry.span_contains(iso, [symmetry.euler_field(t.n)])
+    ok = iso.dimension == 1 and cayley.symmetry.span_contains(iso, [cayley.symmetry.euler_field(t.n)])
     return ok, f"linear isotropy dimension {iso.dimension} (expected 1, spanned by H)"
 
 
 def _check_traces(t: _Target) -> tuple[bool, str]:
     top = max(t.graph.total_degree(), 3)
-    pairs = [(a, g_inv) for tensors, g_inv in t.families.values() for m, a in tensors.items() if m >= 3]
-    ok = all(geometry.trace(a, g_inv).is_zero() for a, g_inv in pairs)
+    pairs = [(tensor(m), g_inv) for tensor, g_inv in t.families.values() for m in range(3, top + 1)]
+    ok = all(a is None or cayley.geometry.trace(a, g_inv).is_zero() for a, g_inv in pairs)
     return ok, f"metric traces of orders 3..{top} all vanish"
 
 
 def _check_pick(t: _Target) -> tuple[bool, str]:
-    values = {name: geometry.pick_invariant(g_inv, tensors[3]) for name, (tensors, g_inv) in t.families.items()}
+    values = {name: cayley.geometry.pick_invariant(g_inv, tensor(3)) for name, (tensor, g_inv) in t.families.items()}
     ok = all(v == 0 for v in values.values())
     detail = ", ".join(f"{k} {v}" for k, v in values.items())
     return ok, f"Pick invariant: {detail}"
 
 
 def _check_signature(t: _Target) -> tuple[bool, str]:
-    sig = geometry.signature(t.taylor[2])
+    sig = cayley.geometry.signature(t.taylor[2])
     detail = f"signature {sig}"
     if t.variant:
         return sig[2] == 0, detail + " nondegenerate"
@@ -168,12 +171,12 @@ def _check_signature(t: _Target) -> tuple[bool, str]:
 
 
 def _check_ruling(t: _Target) -> tuple[bool, str]:
-    dim, linear = geometry.ruling_check(t.phi)
+    dim, linear = cayley.geometry.ruling_check(t.phi)
     return linear, f"linear in the upper block; ruled by {dim}-planes"
 
 
 def _check_hessian(t: _Target) -> tuple[bool, str]:
-    hess = geometry.hessian_determinant(t.graph)
+    hess = cayley.geometry.hessian_determinant(t.graph)
     if hess.is_constant():
         return True, f"Hessian determinant constant = {hess.coefficient({})}"
     return False, "Hessian determinant is not constant"
@@ -183,7 +186,7 @@ def _check_orbit(t: _Target) -> tuple[bool, str]:
     # With O the joint flow from the origin, d/dt_p Phi(O(t)) = (X_p Phi)(O(t)) = 0,
     # so Phi(O(t)) = Phi(O(0)) = Phi(0) = 0.  As d/dt_p (1 + O(s)) = s^p (1 + O(s))
     # mod s^n, the series log of 1 + O_1 s + ... + O_(n-1) s^(n-1) is t.
-    flow = symmetry.is_joint_flow(t.fields, symmetry.orbit_map_terms(t.n))
+    flow = cayley.symmetry.is_joint_flow(t.fields, cayley.symmetry.orbit_map_terms(t.n))
     return flow and () not in t.phi.terms and t.annihilated, (
         f"Phi(O(t)) = 0 identically and the series log inverts O: O(0) = 0, dO/dt_p = X_p(O),"
         f" X_p Phi = 0 for p = 1..{t.n - 1}, Phi(0) = 0"
@@ -248,7 +251,7 @@ def _cmd_generate(parser, args) -> int:
         print(json.dumps(poly_to_json_dict(phi), indent=2))
     else:
         render = format_latex if args.format == "latex" else format_plain
-        print(f"{render(Polynomial.variable(phi.n, phi.n))} = {render(geometry.graph_of(phi))}")
+        print(f"{render(Polynomial.variable(phi.n, phi.n))} = {render(gen.graph_of(phi))}")
     return 0
 
 
@@ -290,7 +293,7 @@ def _cmd_verify(parser, args) -> int:
     return 0 if overall else 1
 
 
-def _algebra_json(algebra: symmetry.SymmetryAlgebra) -> list[dict]:
+def _algebra_json(algebra: cayley.symmetry.SymmetryAlgebra) -> list[dict]:
     """Each basis field and its eigenvalue, rationals as num/den strings."""
     return [
         {"n": f.n, "constant": [str(v) for v in f.constant],
@@ -303,7 +306,7 @@ def _cmd_symmetries(parser, args) -> int:
     phi, source = _surface(parser, args)
     if not phi:
         parser.error("the zero polynomial has no symmetry algebra")
-    algebra = symmetry.symmetry_algebra(phi)
+    algebra = cayley.symmetry.symmetry_algebra(phi)
     out = {
         "n": phi.n,
         "source": source,
@@ -313,7 +316,7 @@ def _cmd_symmetries(parser, args) -> int:
     if source == "family":
         out["b"] = str(args.b)
     if () not in phi.terms:  # phi(0) = 0
-        iso = symmetry.isotropy_at_origin(phi)
+        iso = cayley.symmetry.isotropy_at_origin(phi)
         out["isotropy"] = {"dimension": iso.dimension, "basis": _algebra_json(iso)}
     else:
         out["isotropy"] = None
@@ -326,13 +329,13 @@ def _cmd_invariants(parser, args) -> int:
     if phi.n < 3:
         parser.error("invariants need n >= 3")
     # From the graph's Taylor tensors; the Hessian value is null unless constant.
-    f = geometry.graph_of(phi)
-    tensors = geometry.taylor_tensors(f)
-    g, a = (tensors.get(m) or geometry.SymmetricTensor(m, f.n) for m in (2, 3))
-    pos, neg, zero = geometry.signature(g)
-    pick = geometry.pick_invariant(geometry.metric_inverse(g), a)
-    hess = geometry.hessian_determinant(f)
-    plane_dim, linear = geometry.ruling_check(phi)
+    f = gen.graph_of(phi)
+    tensors = cayley.geometry.taylor_tensors(f)
+    g, a = (tensors.get(m) or cayley.geometry.SymmetricTensor(m, f.n) for m in (2, 3))
+    pos, neg, zero = cayley.geometry.signature(g)
+    pick = cayley.geometry.pick_invariant(cayley.geometry.metric_inverse(g), a)
+    hess = cayley.geometry.hessian_determinant(f)
+    plane_dim, linear = cayley.geometry.ruling_check(phi)
     print(json.dumps({
         "n": phi.n,
         "signature": {"pos": pos, "neg": neg, "zero": zero},

@@ -29,7 +29,7 @@ from math import factorial
 
 from .poly import Polynomial, Scalar
 
-__all__ = ["cayley_poly", "family_poly", "family_prefactor", "partitions", "variant_surface_4"]
+__all__ = ["cayley_poly", "family_poly", "family_prefactor", "graph_of", "partitions", "variant_surface_4"]
 
 
 def partitions(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -98,6 +98,12 @@ def cayley_poly(n: int) -> Polynomial:
     single term -x_n.
     """
     return family_poly(n, 0)
+
+
+def graph_of(phi: Polynomial) -> Polynomial:
+    """Recover f with phi = -x_n + f from a graph-form polynomial, n = phi.n."""
+    n = phi.n
+    return (phi + Polynomial.variable(n, n)).restrict(n - 1)
 
 
 def variant_surface_4() -> Polynomial:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cayley import cli, geometry, symmetry
+from cayley import cli, generate, geometry, symmetry
 from cayley.poly import Polynomial, poly_to_json_dict
 from cayley.symmetry import AffineVectorField, SymmetryAlgebra, span_contains
 
@@ -248,7 +248,7 @@ def test_verify_computes_each_shared_fact_once_per_target(capsys, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in [(symmetry, "cayley_fields"), (AffineVectorField, "apply"), (geometry, "graph_of"),
+    for owner, name in [(symmetry, "cayley_fields"), (AffineVectorField, "apply"), (generate, "graph_of"),
                         (geometry, "taylor_tensors"), (geometry, "indicator_tensor"), (geometry, "metric_inverse")]:
         count(owner, name)
     checks = "annihilation,abelian,homogeneity,traces,pick,signature,hessian,orbit"
@@ -262,6 +262,23 @@ def test_verify_computes_each_shared_fact_once_per_target(capsys, monkeypatch):
     # The variant has the Taylor family only, so its one metric is inverted once.
     assert run(capsys, ["verify", "--n", "4", "--variant"])[0] == 0
     assert calls["metric_inverse"] == 1 and calls["indicator_tensor"] == 0
+
+
+def test_pick_alone_builds_the_indicator_tensors_of_orders_2_and_3(capsys, monkeypatch):
+    built = []
+    original = geometry.indicator_tensor
+
+    def counted(n, m):
+        built.append((n, m))
+        return original(n, m)
+
+    monkeypatch.setattr(geometry, "indicator_tensor", counted)
+    assert run(capsys, ["verify", "--n", "8", "--checks", "pick"])[0] == 0
+    assert built == [(8, 2), (8, 3)]
+    built.clear()
+    # traces reads every order 3..n; pick after it builds nothing more.
+    assert run(capsys, ["verify", "--n", "8", "--checks", "traces,pick"])[0] == 0
+    assert built == [(8, m) for m in range(2, 9)]
 
 
 def test_verify_unknown_check(capsys):

@@ -52,15 +52,44 @@ def test_star_import():
     assert namespace.keys() - {"__builtins__"} == set(EXPORTS)
 
 
-def test_cli_import_loads_the_package_without_dataclasses():
-    # -S leaves out the site's .pth files, so only the package's own imports count.
+def fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter with the package's source first on sys.path.
+
+    -S leaves out the site's .pth files, so only the package's own imports count,
+    and no module of the package is loaded before the code runs.
+    """
     src = Path(importlib.import_module("cayley").__file__).resolve().parents[1]
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import cayley.cli; print(*sys.modules)"
-    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
-                         capture_output=True, text=True, check=True).stdout
-    loaded = set(out.split())
-    # Annotations are strings and the aliases come from collections.abc, so typing stays out too.
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & loaded
-    # bench/tracer.py rebinds functions in every package module, so all must load.
-    package = {f"cayley.{name}" for name in ("cli", "generate", "geometry", "linalg", "poly", "symmetry")}
-    assert package <= loaded
+    return subprocess.run([sys.executable, "-S", "-c", "import sys\nsys.path.insert(0, sys.argv[1])\n" + code,
+                           str(src), *args], capture_output=True, text=True, check=True)
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("names = {}\nexec('from cayley import *', names)\nprint(*sorted(names.keys() - {'__builtins__'}))",
+     " ".join(EXPORTS)),
+    ("import cayley\nprint(*cayley.__all__)", " ".join(EXPORTS)),
+    ("import cayley\nprint(cayley.cayley_poly is cayley.generate.cayley_poly)", "True"),
+    ("import cayley\ntry:\n    cayley.no_such_name\nexcept AttributeError as exc:\n    print(exc)",
+     "module 'cayley' has no attribute 'no_such_name'"),
+])
+def test_lazy_namespace_in_a_fresh_interpreter(code, expected):
+    assert fresh(code).stdout.strip() == expected
+
+
+PACKAGE = {"cli", "generate", "geometry", "linalg", "poly", "symmetry"}
+
+# The package modules each command loads: it compiles and runs only these.
+LOADED_BY_COMMAND = {
+    "generate --n 3": {"cli", "generate", "poly"},
+    "symmetries --n 4": PACKAGE - {"geometry"},
+    "invariants --n 4": PACKAGE - {"symmetry"},
+    "verify --n 4 --checks all": PACKAGE,
+}
+
+
+def test_cli_import_loads_the_package_without_dataclasses():
+    code = "import cayley.cli\ncayley.cli.main(sys.argv[2:])\nprint(*sys.modules, file=sys.stderr)"
+    for command, expected in LOADED_BY_COMMAND.items():
+        loaded = set(fresh(code, *command.split()).stderr.split())
+        # Annotations are strings and the aliases come from collections.abc, so typing stays out too.
+        assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & loaded, command
+        assert {name.removeprefix("cayley.") for name in loaded if name.startswith("cayley.")} == expected, command
