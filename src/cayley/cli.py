@@ -316,7 +316,7 @@ def _cmd_symmetries(parser, args) -> int:
     if source == "family":
         out["b"] = str(args.b)
     if () not in phi.terms:  # phi(0) = 0
-        iso = cayley.symmetry.isotropy_at_origin(phi)
+        iso = algebra.isotropy()  # read off the algebra, with no second solve
         out["isotropy"] = {"dimension": iso.dimension, "basis": _algebra_json(iso)}
     else:
         out["isotropy"] = None

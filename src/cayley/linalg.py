@@ -18,7 +18,7 @@ from fractions import Fraction
 Matrix = list[list[Fraction]]
 Rows = Sequence[Mapping[int, object]]
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
@@ -77,17 +77,25 @@ def nullspace(rows: Rows, ncols: int) -> list[list[Fraction]]:
     # The reduced rows span the input rows, so they show every column used.
     if not all(0 <= j < ncols for row in (pivots, *reduced) for j in row):
         raise ValueError(f"a row has an entry outside columns 0..{ncols - 1}")
+    # Column -> (pivot, -entry) for each reduced row that holds it, pivots ascending.
+    held: dict[int, list[tuple[int, Fraction]]] = {}
+    for row, col in zip(reduced, pivots):
+        for j, x in row.items():
+            held.setdefault(j, []).append((col, -x))
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, col in zip(reduced, pivots):
-            v[col] = -row.get(free, _ZERO)
-        first = next(x for x in v if x)
-        basis.append([x / first for x in v])
+        v = [_ZERO] * ncols
+        v[free] = _ONE
+        entries = held.get(free, [])
+        for col, x in entries:
+            v[col] = x
+        # A reduced row holds only columns above its pivot: the first nonzero entry is the
+        # first holder's, or the 1 at free.
+        first = entries[0][1] if entries else _ONE
+        basis.append(v if first == 1 else [x / first for x in v])
     return basis
 
 

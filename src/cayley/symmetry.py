@@ -292,6 +292,37 @@ class SymmetryAlgebra(_Frozen):
     def dimension(self) -> int:
         return len(self.basis)
 
+    def isotropy(self) -> SymmetryAlgebra:
+        """The fields with no constant part, in the basis isotropy_at_origin(p) gives for the p solved.
+
+        That basis has one vector per free column f of its system in (c, linear): the solution
+        with 1 at f and 0 at the other free columns, whose last nonzero entry is at f.  With the
+        constant part first and (c, linear) reversed, these are the reduced rows that pivot past
+        the constant part; here they are scaled to a leading 1 and ordered by f.  Each is an exact
+        combination of fields whose eigen-relations the solver checked, so none is checked again.
+        """
+        n = self.basis[0].n if self.basis else 0
+        top = n + n * n  # the column of c
+        rows = [dict(enumerate([*f.constant, *reversed([c, *f.flatten()[n:]])]))
+                for f, c in zip(self.basis, self.eigenvalues)]
+        reduced, pivots = linalg._reduced_echelon(rows)
+        vectors = []
+        for row, pivot in reversed([*zip(reduced, pivots)]):
+            if pivot >= n:
+                entries = {top - col: v for col, v in {**row, pivot: Fraction(1)}.items()}
+                first = entries[min(entries)]
+                vectors.append([entries.get(k, Fraction(0)) / first for k in range(1 + n * n)])
+        fields = _solution_fields(n, vectors, include_constant=False)
+        return SymmetryAlgebra(tuple(fields), tuple(vec[0] for vec in vectors))
+
+
+def _solution_fields(n: int, vectors: Sequence[Sequence[Fraction]], include_constant: bool) -> list[AffineVectorField]:
+    """The field of each solution vector: after c, the coefficient of d/dx_(j+1) is the stride
+    slice vec[1 + j :: n], read on the monomials 1 (if constants are unknowns), x_1, ..., x_n."""
+    keys = ([()] if include_constant else []) + [((i, 1),) for i in range(1, n + 1)]
+    return [AffineVectorField([Polynomial._raw(n, {key: v for key, v in zip(keys, vec[1 + j :: n]) if v})
+                               for j in range(n)]) for vec in vectors]
+
 
 def _eigen_system(p: Polynomial, include_constant: bool) -> SymmetryAlgebra:
     if not p:
@@ -309,18 +340,9 @@ def _eigen_system(p: Polynomial, include_constant: bool) -> SymmetryAlgebra:
         for mono, coeff in terms.items():
             rows.setdefault(mono_times_var(mono, var) if var else mono, {})[k] = coeff
     basis_vectors = linalg.nullspace(list(rows.values()), ncols=len(columns))
-    # After c, the coefficient of d/dx_(j+1) is the stride slice vec[1 + j :: n],
-    # read on the monomials 1 (if constants are unknowns), x_1, ..., x_n.
-    keys = ([()] if include_constant else []) + [((i, 1),) for i in range(1, n + 1)]
-    fields = []
-    for vec in basis_vectors:
-        coefficients = [
-            Polynomial._raw(n, {key: v for key, v in zip(keys, vec[1 + j :: n]) if v}) for j in range(n)
-        ]
-        field = AffineVectorField(coefficients)
-        if field.apply(p) != p * vec[0]:
-            raise RuntimeError("solver produced a field violating its eigen-relation")
-        fields.append(field)
+    fields = _solution_fields(n, basis_vectors, include_constant)
+    if any(field.apply(p) != p * vec[0] for field, vec in zip(fields, basis_vectors)):
+        raise RuntimeError("solver produced a field violating its eigen-relation")
     return SymmetryAlgebra(tuple(fields), tuple(vec[0] for vec in basis_vectors))
 
 

@@ -18,7 +18,7 @@ from cayley.poly import Polynomial, poly_to_json_dict
 from cayley.symmetry import AffineVectorField, SymmetryAlgebra, span_contains
 
 from test_poly import NON_ARRAY_JSON
-from test_symmetry import affine_polys
+from test_symmetry import BIG_ISOTROPY_QUADRICS, affine_polys, seeded_polys
 
 GOLDEN_PLAIN = {
     3: "x3 = x1*x2 - 1/3*x1^3",
@@ -69,6 +69,26 @@ SURFACE_PINNED_CASES = {
     "invariants": [["--n", str(n)] for n in range(3, 9)] + [["--n", "6", "--b=3"], ["--variant"]],
 }
 
+# sha256 of the stdout of `symmetries` on each case, recorded before the command
+# read its isotropy off the algebra's solution in place of a second solve.  The
+# b values 1 + 2/k are where the family's prefactor drops terms.  A --file case
+# is written by the test: the seeded graded and ungraded polynomials of
+# test_symmetry.seeded_polys, and x1 x2 + x3 x4 + x5^2 in 6 variables, whose
+# isotropy has dimension 17.
+SYMMETRIES_SHA256 = {
+    "--n 12": "7a91a49f3dcffa6dbbec4cea7096c8629073a32d75e107ebb34a28459f7111e2",
+    "--n 10 --b=3": "f9d8d0b455acdbd5363bba15fb1d18fb5efbd68c81521e9eb256b8ded47f72d3",
+    "--n 9 --b=5/3": "97bd42f1a8d5dc6d8706d73940a2e9020e3f82ffc4a600118c7f99b7041d5ac4",
+    "graded": "cb0b6bb3213360fe3313339071dacbb68eb8095a2389a813c435efee21ad1d75",
+    "ungraded": "2aae57318c6df626170c9894f3d63b2b5d08e7bed890d09b328b43a56a5237cd",
+    "quadric": "593f8a02db0f2bfb2ee1f78e2434e24f1b22b8425076037c1872f4fce8de9ea9",
+}
+SYMMETRIES_PINNED_FILES = {
+    "graded": lambda: seeded_polys(2)[0],
+    "ungraded": lambda: seeded_polys(0)[1],
+    "quadric": lambda: BIG_ISOTROPY_QUADRICS[1],
+}
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -105,6 +125,22 @@ def test_surface_command_stdout_is_pinned(capsys, command):
         assert code == 0
         outputs.append(out)
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == SURFACE_SHA256[command]
+
+
+def symmetries_pinned_argv(case, directory):
+    """The `symmetries` command line of a SYMMETRIES_SHA256 case; a file case is written to directory."""
+    if case not in SYMMETRIES_PINNED_FILES:
+        return ["symmetries", *case.split()]
+    path = directory / f"{case}.json"
+    path.write_text(json.dumps(poly_to_json_dict(SYMMETRIES_PINNED_FILES[case]())))
+    return ["symmetries", "--file", str(path)]
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRIES_SHA256))
+def test_symmetries_stdout_is_pinned(capsys, tmp_path, case):
+    code, out = run(capsys, symmetries_pinned_argv(case, tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMMETRIES_SHA256[case]
 
 
 def test_generate_plain_golden(capsys):
@@ -262,6 +298,34 @@ def test_verify_computes_each_shared_fact_once_per_target(capsys, monkeypatch):
     # The variant has the Taylor family only, so its one metric is inverted once.
     assert run(capsys, ["verify", "--n", "4", "--variant"])[0] == 0
     assert calls["metric_inverse"] == 1 and calls["indicator_tensor"] == 0
+
+
+def test_symmetries_builds_and_eliminates_its_system_once(capsys, monkeypatch, tmp_path):
+    solves = []
+    original = symmetry._eigen_system
+
+    def counted(p, include_constant):
+        solves.append(include_constant)
+        return original(p, include_constant)
+
+    monkeypatch.setattr(symmetry, "_eigen_system", counted)
+    path = tmp_path / "graded.json"
+    path.write_text(json.dumps(poly_to_json_dict(seeded_polys(2)[0])))
+    # The algebra's system alone: the isotropy is read off the algebra.
+    for argv in (["--n", "6"], ["--file", str(path)]):
+        code, out = run(capsys, ["symmetries", *argv])
+        assert code == 0 and json.loads(out)["isotropy"]["dimension"] > 0
+        assert solves == [True]
+        solves.clear()
+    # 1 + x1 - x2 does not vanish at the origin: still one solve, and no isotropy.
+    path.write_text(json.dumps(poly_to_json_dict(Polynomial(2, [({}, 1), ({1: 1}, 1), ({2: 1}, -1)]))))
+    code, out = run(capsys, ["symmetries", "--file", str(path)])
+    assert code == 0 and json.loads(out)["isotropy"] is None
+    assert solves == [True]
+    solves.clear()
+    # verify's isotropy check solves the isotropy's own system, once per target.
+    assert run(capsys, ["verify", "--n", "3..5", "--checks", "isotropy"])[0] == 0
+    assert solves == [False] * 3
 
 
 def test_pick_alone_builds_the_indicator_tensors_of_orders_2_and_3(capsys, monkeypatch):

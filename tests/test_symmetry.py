@@ -487,6 +487,32 @@ def test_isotropy_of_hyperbolic_quadric():
     assert span_contains(iso, [scale_x1, scale_x2])
 
 
+# Quadrics whose isotropy at the origin has dimension above 10: 11 for the round cone in
+# 5 variables, 17 for x1 x2 + x3 x4 + x5^2 in 6 and for x1^2 + x2^2 in 5.
+BIG_ISOTROPY_QUADRICS = [
+    Polynomial(5, [({i: 2}, 1) for i in range(1, 6)]),
+    Polynomial(6, [({1: 1, 2: 1}, 1), ({3: 1, 4: 1}, 1), ({5: 2}, 1)]),
+    Polynomial(5, [({1: 2}, 1), ({2: 2}, 1)]),
+]
+
+
+def test_isotropy_read_off_the_algebra_is_isotropy_at_origin():
+    # Basis for basis, eigenvalue for eigenvalue, against the solver run on the isotropy's own
+    # system.  At b = 1 + 2/k the family's prefactor drops terms; the ungraded seeded
+    # polynomials of seeds 1 and 5 have an algebra of dimension 0.
+    polys = [cayley_poly(n) for n in range(3, 15)] + [variant_surface_4()] + BIG_ISOTROPY_QUADRICS
+    polys += [family_poly(n, Fraction(b)) for n in range(4, 11) for b in ("0", "1/2", "-7/3", "1", "3", "5/3")]
+    for seed in range(6):
+        polys += seeded_polys(seed)
+    dimensions = set()
+    for p in polys:
+        algebra = symmetry_algebra(p)
+        iso = algebra.isotropy()
+        assert iso == isotropy_at_origin(p)
+        dimensions.add((algebra.dimension, iso.dimension))
+    assert (0, 0) in dimensions and max(iso for _, iso in dimensions) == 17
+
+
 def test_isotropy_requires_origin_on_surface():
     p = Polynomial.constant(2, 1) + Polynomial.variable(2, 1)
     with pytest.raises(ValueError):
