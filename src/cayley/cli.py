@@ -42,8 +42,8 @@ from .poly import (
 
 DEFAULT_MAX_N = 20
 
-# Checks meaningful for the variant surface (the commuting shift fields and
-# the weight grading are specific to the main family).
+# Checks meaningful for the variant surface: the commuting shift fields and the grading
+# with weight h on x_h belong to Phi_n (the variant is graded with weights 2, 3, 4, 6).
 VARIANT_CHECKS = ["isotropy", "traces", "pick", "signature", "ruling", "hessian"]
 
 
@@ -82,15 +82,16 @@ def _guard_n(parser: argparse.ArgumentParser, worst: int, force: bool) -> None:
 
 
 class _Target:
-    """One verify target, Phi_n or the variant, and the facts its checks share; n is phi.n.
+    """One surface, its source ("cayley", "family", "variant" or "file") and the facts
+    read from it; n is phi.n.
 
     Each fact is computed on first use and kept for the target's other
     checks, never for another target.  A check reads every fact it needs
     from here, so a check run alone computes them itself and stays a proof.
     """
 
-    def __init__(self, phi: Polynomial, variant: bool):
-        self.phi, self.variant, self.n = phi, variant, phi.n
+    def __init__(self, phi: Polynomial, source: str):
+        self.phi, self.source, self.n = phi, source, phi.n
 
     @cached_property
     def fields(self) -> list[cayley.symmetry.AffineVectorField]:
@@ -116,7 +117,7 @@ class _Target:
         """Each tensor family's tensor of each order (None if it has none), with its metric inverted
         once: the Taylor tensors, and for Phi_n the indicator tensors, each order built on first use."""
         families = {"taylor": self.taylor.get}
-        if not self.variant:
+        if self.source == "cayley":
             families["indicator"] = cache(partial(cayley.geometry.indicator_tensor, self.n))
         return {name: (tensor, cayley.geometry.metric_inverse(tensor(2))) for name, tensor in families.items()}
 
@@ -140,7 +141,7 @@ def _check_homogeneity(t: _Target) -> tuple[bool, str]:
 
 def _check_isotropy(t: _Target) -> tuple[bool, str]:
     iso = cayley.symmetry.isotropy_at_origin(t.phi)
-    if t.variant:
+    if t.source == "variant":
         return iso.dimension == 2, f"linear isotropy dimension {iso.dimension} (expected 2)"
     ok = iso.dimension == 1 and cayley.symmetry.span_contains(iso, [cayley.symmetry.euler_field(t.n)])
     return ok, f"linear isotropy dimension {iso.dimension} (expected 1, spanned by H)"
@@ -163,7 +164,7 @@ def _check_pick(t: _Target) -> tuple[bool, str]:
 def _check_signature(t: _Target) -> tuple[bool, str]:
     sig = cayley.geometry.signature(t.taylor[2])
     detail = f"signature {sig}"
-    if t.variant:
+    if t.source == "variant":
         return sig[2] == 0, detail + " nondegenerate"
     n = t.n
     expected = (n // 2, (n - 1) - n // 2, 0)
@@ -211,15 +212,15 @@ CHECKS = {
 # -- subcommand drivers -------------------------------------------------------
 
 
-def _surface(parser, args) -> tuple[Polynomial, str]:
-    """The polynomial a command's options name, and its source.
+def _surface(parser, args, n: int | None) -> _Target:
+    """The surface a command's options name at dimension n, as the target every command reads.
 
     The n guard runs before the polynomial is built; a --file polynomial
     is guarded once it is read.
     """
     b = getattr(args, "b", None)
     if getattr(args, "file", None) is not None:
-        if args.n is not None or b is not None or args.variant:
+        if n is not None or b is not None or args.variant:
             parser.error("--file does not take --n, --b or --variant")
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
@@ -228,30 +229,30 @@ def _surface(parser, args) -> tuple[Polynomial, str]:
         except (OSError, ValueError, RecursionError) as exc:
             parser.error(f"cannot read polynomial file: {exc}")
         _guard_n(parser, phi.n, args.force)
-        return phi, "file"
+        return _Target(phi, "file")
     if args.variant:
         if b is not None:
             parser.error("--variant does not take --b")
-        if args.n not in (None, 4):
+        if n not in (None, 4):
             parser.error("the variant surface exists only for n = 4")
-        return gen.variant_surface_4(), "variant"
-    if args.n is None:
+        return _Target(gen.variant_surface_4(), "variant")
+    if n is None:
         parser.error("--n is required")
-    if args.n < 1:
+    if n < 1:
         parser.error("n must be a positive integer")
-    _guard_n(parser, args.n, args.force)
+    _guard_n(parser, n, args.force)
     if b:
-        return gen.family_poly(args.n, b), "family"
-    return gen.cayley_poly(args.n), "cayley"
+        return _Target(gen.family_poly(n, b), "family")
+    return _Target(gen.cayley_poly(n), "cayley")
 
 
 def _cmd_generate(parser, args) -> int:
-    phi, _ = _surface(parser, args)
+    t = _surface(parser, args, args.n)
     if args.format == "json":
-        print(json.dumps(poly_to_json_dict(phi), indent=2))
+        print(json.dumps(poly_to_json_dict(t.phi), indent=2))
     else:
         render = format_latex if args.format == "latex" else format_plain
-        print(f"{render(Polynomial.variable(phi.n, phi.n))} = {render(gen.graph_of(phi))}")
+        print(f"{render(Polynomial.variable(t.n, t.n))} = {render(t.graph)}")
     return 0
 
 
@@ -272,20 +273,19 @@ def _cmd_verify(parser, args) -> int:
     if ns[0] < 3:
         parser.error("verify needs n >= 3")
     _guard_n(parser, ns[-1], args.force)
-    surfaces = [_surface(parser, argparse.Namespace(**{**vars(args), "n": n})) for n in ns]
 
     reports = []
     overall = True
-    for phi, source in surfaces:
-        facts = _Target(phi, source == "variant")
+    for n in ns:
+        t = _surface(parser, args, n)  # built when its turn comes, dropped after its checks
         checks = []
         target_pass = True
         for name in names:
-            ok, detail = CHECKS[name](facts)
+            ok, detail = CHECKS[name](t)
             checks.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
             target_pass = target_pass and ok
-        target: dict = {"n": phi.n}
-        if facts.variant:
+        target: dict = {"n": t.n}
+        if t.source == "variant":
             target["variant"] = True
         reports.append({"target": target, "checks": checks, "pass": target_pass})
         overall = overall and target_pass
@@ -303,19 +303,19 @@ def _algebra_json(algebra: cayley.symmetry.SymmetryAlgebra) -> list[dict]:
 
 
 def _cmd_symmetries(parser, args) -> int:
-    phi, source = _surface(parser, args)
-    if not phi:
+    t = _surface(parser, args, args.n)
+    if not t.phi:
         parser.error("the zero polynomial has no symmetry algebra")
-    algebra = cayley.symmetry.symmetry_algebra(phi)
+    algebra = cayley.symmetry.symmetry_algebra(t.phi)
     out = {
-        "n": phi.n,
-        "source": source,
+        "n": t.n,
+        "source": t.source,
         "dimension": algebra.dimension,
         "basis": _algebra_json(algebra),
     }
-    if source == "family":
+    if t.source == "family":
         out["b"] = str(args.b)
-    if () not in phi.terms:  # phi(0) = 0
+    if () not in t.phi.terms:  # phi(0) = 0
         iso = algebra.isotropy()  # read off the algebra, with no second solve
         out["isotropy"] = {"dimension": iso.dimension, "basis": _algebra_json(iso)}
     else:
@@ -325,25 +325,23 @@ def _cmd_symmetries(parser, args) -> int:
 
 
 def _cmd_invariants(parser, args) -> int:
-    phi, source = _surface(parser, args)
-    if phi.n < 3:
+    t = _surface(parser, args, args.n)
+    if t.n < 3:
         parser.error("invariants need n >= 3")
     # From the graph's Taylor tensors; the Hessian value is null unless constant.
-    f = gen.graph_of(phi)
-    tensors = cayley.geometry.taylor_tensors(f)
-    g, a = (tensors.get(m) or cayley.geometry.SymmetricTensor(m, f.n) for m in (2, 3))
-    pos, neg, zero = cayley.geometry.signature(g)
-    pick = cayley.geometry.pick_invariant(cayley.geometry.metric_inverse(g), a)
-    hess = cayley.geometry.hessian_determinant(f)
-    plane_dim, linear = cayley.geometry.ruling_check(phi)
+    tensor, g_inv = t.families["taylor"]
+    pos, neg, zero = cayley.geometry.signature(tensor(2))
+    pick = cayley.geometry.pick_invariant(g_inv, tensor(3))
+    hess = cayley.geometry.hessian_determinant(t.graph)
+    plane_dim, linear = cayley.geometry.ruling_check(t.phi)
     print(json.dumps({
-        "n": phi.n,
+        "n": t.n,
         "signature": {"pos": pos, "neg": neg, "zero": zero},
         "pick": str(pick),
         "hessian_det_constant": hess.is_constant(),
         "hessian_det_value": str(hess.coefficient({})) if hess.is_constant() else None,
         "ruling": {"dim": plane_dim, "linear": linear},
-        "source": source,
+        "source": t.source,
     }, indent=2))
     return 0
 

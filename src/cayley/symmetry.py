@@ -68,7 +68,7 @@ class AffineVectorField(_Frozen):
         of (i, F a), one per term a x_i (i = 0 for a constant)."""
         scale = lcm(*(c.denominator for q in self.coefficients for c in q.terms.values()))
         return scale, [[(m[0][0] if m else 0, c.numerator * (scale // c.denominator)) for m, c in q.terms.items()]
-                       if q.terms else [] for q in self.coefficients]
+                       for q in self.coefficients]
 
     @property
     def n(self) -> int:

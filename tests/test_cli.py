@@ -272,7 +272,8 @@ def test_verify_range_joins_its_single_target_reports(capsys):
     assert json.loads(both) == {"reports": [single["reports"][0] for single in singles], "pass": True}
 
 
-def test_verify_computes_each_shared_fact_once_per_target(capsys, monkeypatch):
+def count_calls(monkeypatch, owners_and_names) -> Counter:
+    """Count the calls of each owner.name, by name, for the rest of the test."""
     calls = Counter()
 
     def count(owner, name):
@@ -284,9 +285,15 @@ def test_verify_computes_each_shared_fact_once_per_target(capsys, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in [(symmetry, "cayley_fields"), (AffineVectorField, "apply"), (generate, "graph_of"),
-                        (geometry, "taylor_tensors"), (geometry, "indicator_tensor"), (geometry, "metric_inverse")]:
+    for owner, name in owners_and_names:
         count(owner, name)
+    return calls
+
+
+def test_verify_computes_each_shared_fact_once_per_target(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, [
+        (symmetry, "cayley_fields"), (AffineVectorField, "apply"), (generate, "graph_of"),
+        (geometry, "taylor_tensors"), (geometry, "indicator_tensor"), (geometry, "metric_inverse")])
     checks = "annihilation,abelian,homogeneity,traces,pick,signature,hessian,orbit"
     assert run(capsys, ["verify", "--n", "5..6", "--checks", checks])[0] == 0
     # Per target n: the shift fields once, X_p Phi once for each of them and H Phi once,
@@ -298,6 +305,57 @@ def test_verify_computes_each_shared_fact_once_per_target(capsys, monkeypatch):
     # The variant has the Taylor family only, so its one metric is inverted once.
     assert run(capsys, ["verify", "--n", "4", "--variant"])[0] == 0
     assert calls["metric_inverse"] == 1 and calls["indicator_tensor"] == 0
+
+
+def test_verify_builds_each_surface_when_its_target_comes(capsys, monkeypatch):
+    events = []
+    build, ruling = generate.cayley_poly, cli.CHECKS["ruling"]
+
+    def logged_build(n):
+        events.append(("build", n))
+        return build(n)
+
+    def logged_ruling(t):
+        events.append(("check", t.n))
+        return ruling(t)
+
+    monkeypatch.setattr(generate, "cayley_poly", logged_build)
+    monkeypatch.setitem(cli.CHECKS, "ruling", logged_ruling)
+    assert run(capsys, ["verify", "--n", "3..5", "--checks", "ruling"])[0] == 0
+    assert events == [(step, n) for n in (3, 4, 5) for step in ("build", "check")]
+    events.clear()
+    # The n = 4 target is checked before n = 5 is refused, and no report is printed.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--n", "4..5", "--variant", "--checks", "ruling"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "the variant surface exists only for n = 4" in err
+    assert events == [("check", 4)]
+
+
+INVARIANTS_AGREE_CASES = [["--n", str(n)] for n in range(3, 13)] + [["--variant"]]
+INVARIANTS_AGREE_CASES += [["--n", str(n), f"--b={b}"] for b in ("1/2", "-7/3", "3", "5/3") for n in range(5, 10)]
+
+
+@pytest.mark.parametrize("case", INVARIANTS_AGREE_CASES, ids=" ".join)
+def test_invariants_and_verify_read_the_same_facts(capsys, monkeypatch, case):
+    calls = count_calls(monkeypatch, [(generate, "graph_of"), (geometry, "taylor_tensors"),
+                                      (geometry, "indicator_tensor")])
+    parser = cli.build_parser()
+    args = parser.parse_args(["invariants", *case])
+    t = cli._surface(parser, args, args.n)  # no fact is computed before a check reads it
+    code, out = run(capsys, ["invariants", *case])
+    assert code == 0
+    # One graph and one Taylor pass; the indicator tensors are Phi_n's pattern only.
+    assert calls["graph_of"] == 1 and calls["taylor_tensors"] == 1
+    if t.source != "cayley":
+        assert calls["indicator_tensor"] == 0
+    report = json.loads(out)
+    sig = report["signature"]
+    assert cli._check_signature(t)[1].startswith(f"signature ({sig['pos']}, {sig['neg']}, {sig['zero']})")
+    pick = cli._check_pick(t)[1].removeprefix("Pick invariant: ").split(", ")
+    assert f"taylor {report['pick']}" in pick
+    assert cli._check_hessian(t) == (True, f"Hessian determinant constant = {report['hessian_det_value']}")
 
 
 def test_symmetries_builds_and_eliminates_its_system_once(capsys, monkeypatch, tmp_path):

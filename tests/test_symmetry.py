@@ -345,7 +345,7 @@ def test_joint_flow_fails_on_a_wrong_orbit_map():
 def test_orbit_check_agrees_with_the_sampled_oracle():
     for n in range(3, 17):
         phi = cayley_poly(n)
-        assert cli._check_orbit(cli._Target(phi, False))[0]
+        assert cli._check_orbit(cli._Target(phi, "cayley"))[0]
         assert sampled_orbit_check(phi, orbit_point, parameters_for_point)
 
 
@@ -353,11 +353,11 @@ def test_orbit_check_fails_on_a_changed_surface():
     rng = random.Random(31)
     for n in range(3, 11):
         phi = cayley_poly(n)
-        assert not cli._check_orbit(cli._Target(phi + Polynomial.constant(n, 1), False))[0]
+        assert not cli._check_orbit(cli._Target(phi + Polynomial.constant(n, 1), "cayley"))[0]
         monos = sorted(phi.terms)
         for mono in monos if n <= 6 else rng.sample(monos, 3):
             changed = phi + Polynomial(n, [(dict(mono), rng.choice([-2, -1, Fraction(1, 2), 1]))])
-            assert not cli._check_orbit(cli._Target(changed, False))[0]
+            assert not cli._check_orbit(cli._Target(changed, "cayley"))[0]
 
 
 def test_orbit_check_fails_on_doubled_fields(monkeypatch):
@@ -369,7 +369,7 @@ def test_orbit_check_fails_on_doubled_fields(monkeypatch):
     for n in range(3, 11):
         phi = cayley_poly(n)
         assert all(not f.apply(phi) for f in doubled(n))
-        assert not cli._check_orbit(cli._Target(phi, False))[0]
+        assert not cli._check_orbit(cli._Target(phi, "cayley"))[0]
 
 
 def test_phi_is_minus_top_log_coefficient():
