@@ -114,8 +114,8 @@ class _Target:
     @cached_property
     def families(self) -> dict[str, tuple[Callable[[int], cayley.geometry.SymmetricTensor | None],
                                           cayley.geometry.SymmetricTensor]]:
-        """Each tensor family's tensor of each order (None if it has none), with its metric inverted
-        once: the Taylor tensors, and for Phi_n the indicator tensors, each order built on first use."""
+        """For traces and pick: each tensor family's tensor of each order (None if it has none), with its
+        metric inverted once: the Taylor tensors, and for Phi_n the indicator tensors, each order built on first use."""
         families = {"taylor": self.taylor.get}
         if self.source == "cayley":
             families["indicator"] = cache(partial(cayley.geometry.indicator_tensor, self.n))
@@ -133,10 +133,9 @@ def _check_abelian(t: _Target) -> tuple[bool, str]:
 
 
 def _check_homogeneity(t: _Target) -> tuple[bool, str]:
+    # H multiplies a term of weight w by w, so weight n alone gives H Phi = n Phi.
     n = t.n
-    graded = weighted_degree_check(t.phi, list(range(1, n + 1)), n)
-    scales = cayley.symmetry.euler_field(n).apply(t.phi) == t.phi * n
-    return graded and scales, f"weight-{n} homogeneous and H Phi = {n} Phi"
+    return weighted_degree_check(t.phi, list(range(1, n + 1)), n), f"weight-{n} homogeneous and H Phi = {n} Phi"
 
 
 def _check_isotropy(t: _Target) -> tuple[bool, str]:
@@ -329,9 +328,8 @@ def _cmd_invariants(parser, args) -> int:
     if t.n < 3:
         parser.error("invariants need n >= 3")
     # From the graph's Taylor tensors; the Hessian value is null unless constant.
-    tensor, g_inv = t.families["taylor"]
-    pos, neg, zero = cayley.geometry.signature(tensor(2))
-    pick = cayley.geometry.pick_invariant(g_inv, tensor(3))
+    pos, neg, zero = cayley.geometry.signature(t.taylor[2])
+    pick = cayley.geometry.pick_invariant(cayley.geometry.metric_inverse(t.taylor[2]), t.taylor[3])
     hess = cayley.geometry.hessian_determinant(t.graph)
     plane_dim, linear = cayley.geometry.ruling_check(t.phi)
     print(json.dumps({

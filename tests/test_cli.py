@@ -296,15 +296,96 @@ def test_verify_computes_each_shared_fact_once_per_target(capsys, monkeypatch):
         (geometry, "taylor_tensors"), (geometry, "indicator_tensor"), (geometry, "metric_inverse")])
     checks = "annihilation,abelian,homogeneity,traces,pick,signature,hessian,orbit"
     assert run(capsys, ["verify", "--n", "5..6", "--checks", checks])[0] == 0
-    # Per target n: the shift fields once, X_p Phi once for each of them and H Phi once,
-    # one graph with its Taylor tensors, one indicator tensor for each order 2..n, and
-    # one inverse metric for each of the two tensor families, shared by traces and pick.
-    assert calls == {"cayley_fields": 2, "apply": 5 + 6, "graph_of": 2, "taylor_tensors": 2,
+    # Per target n: the shift fields once, X_p Phi once for each of them (homogeneity applies
+    # no field), one graph with its Taylor tensors, one indicator tensor for each order 2..n,
+    # and one inverse metric for each of the two tensor families, shared by traces and pick.
+    assert calls == {"cayley_fields": 2, "apply": 4 + 5, "graph_of": 2, "taylor_tensors": 2,
                      "indicator_tensor": 4 + 5, "metric_inverse": 2 + 2}
     calls.clear()
     # The variant has the Taylor family only, so its one metric is inverted once.
     assert run(capsys, ["verify", "--n", "4", "--variant"])[0] == 0
     assert calls["metric_inverse"] == 1 and calls["indicator_tensor"] == 0
+
+
+# The calls each check makes alone on Phi_7, of the facts counted below; a fact not listed is not computed.
+CHECK_FACTS = {
+    "annihilation": {"cayley_fields": 1, "apply": 6},
+    "abelian": {"cayley_fields": 1},
+    "homogeneity": {},  # one weighted-degree pass, and no field applied
+    "isotropy": {"apply": 1, "euler_field": 1},  # the apply is the solver's eigen-relation check
+    "traces": {"graph_of": 1, "taylor_tensors": 1, "indicator_tensor": 6, "metric_inverse": 2},
+    "pick": {"graph_of": 1, "taylor_tensors": 1, "indicator_tensor": 2, "metric_inverse": 2},
+    "signature": {"graph_of": 1, "taylor_tensors": 1},
+    "ruling": {},
+    "hessian": {"graph_of": 1},
+    "orbit": {"cayley_fields": 1, "apply": 6},
+}
+
+
+@pytest.mark.parametrize("check", CHECK_FACTS)
+def test_each_check_computes_only_the_facts_it_reads(capsys, monkeypatch, check):
+    calls = count_calls(monkeypatch, [
+        (symmetry, "cayley_fields"), (AffineVectorField, "apply"), (symmetry, "euler_field"),
+        (generate, "graph_of"), (geometry, "taylor_tensors"), (geometry, "indicator_tensor"),
+        (geometry, "metric_inverse")])
+    assert run(capsys, ["verify", "--n", "7", "--checks", check])[0] == 0
+    assert calls == CHECK_FACTS[check]
+
+
+def term(n, exps):
+    return Polynomial(n, [(exps, 1)])
+
+
+# Check -> a change d of Phi_n, at n, that the check must detect.
+CHANGED_PHI = {
+    "annihilation": lambda n: term(n, {1: 2}),
+    "homogeneity": lambda n: term(n, {1: 2}),
+    "isotropy": lambda n: term(n, {1: 2}),
+    "traces": lambda n: term(n, {1: 2, n - 1: 1}),
+    "hessian": lambda n: term(n, {1: 2, n - 1: 1}),
+    # Weight 2n; its partner x1^2 x_(n-2) under i -> n - i is a term of Phi_n.
+    "pick": lambda n: term(n, {2: 1, n - 1: 2}),
+    # Removes the x1 x_(n-1) term, which leaves 2 zero directions.
+    "signature": lambda n: term(n, {1: 1, n - 1: 1}) * -generate.cayley_poly(n).coefficient({1: 1, n - 1: 1}),
+    "ruling": lambda n: term(n, {n - 1: 2}),
+}
+
+# Check -> a change of the variant surface that the check must detect.
+CHANGED_VARIANT = {
+    "isotropy": term(4, {2: 1, 3: 2}),
+    "ruling": term(4, {2: 1, 3: 2}),
+    "hessian": term(4, {2: 1, 3: 2}),
+    "traces": term(4, {1: 2, 3: 1}),
+    "pick": term(4, {3: 3}),
+    "signature": -term(4, {1: 1, 3: 1}),
+}
+
+
+def test_each_check_fails_on_a_changed_surface(monkeypatch):
+    for n in range(4, 11):
+        phi = generate.cayley_poly(n)
+        t = cli._Target(phi, "cayley")
+        assert all(check(t)[0] for check in cli.CHECKS.values()), n
+        for name, change in CHANGED_PHI.items():
+            ok, detail = cli.CHECKS[name](cli._Target(phi + change(n), "cayley"))
+            assert not ok, (n, name)
+            if name == "pick":
+                # The indicator tensors read n only, so their value stays 0 on every changed surface.
+                assert detail == "Pick invariant: taylor -16/3, indicator 0"
+    variant = generate.variant_surface_4()
+    assert all(cli.CHECKS[name](cli._Target(variant, "variant"))[0] for name in cli.VARIANT_CHECKS)
+    for name, change in CHANGED_VARIANT.items():
+        assert not cli.CHECKS[name](cli._Target(variant + change, "variant"))[0], name
+    # abelian reads the shift fields only: give X_1 the extra term x2 d/dx1.
+    fields = symmetry.cayley_fields
+
+    def bent_fields(n):
+        first, *rest = fields(n)
+        return [AffineVectorField((first.coefficients[0] + Polynomial.variable(n, 2), *first.coefficients[1:])), *rest]
+
+    monkeypatch.setattr(symmetry, "cayley_fields", bent_fields)
+    for n in range(4, 11):
+        assert not cli._check_abelian(cli._Target(generate.cayley_poly(n), "cayley"))[0], n
 
 
 def test_verify_builds_each_surface_when_its_target_comes(capsys, monkeypatch):
@@ -340,16 +421,14 @@ INVARIANTS_AGREE_CASES += [["--n", str(n), f"--b={b}"] for b in ("1/2", "-7/3", 
 @pytest.mark.parametrize("case", INVARIANTS_AGREE_CASES, ids=" ".join)
 def test_invariants_and_verify_read_the_same_facts(capsys, monkeypatch, case):
     calls = count_calls(monkeypatch, [(generate, "graph_of"), (geometry, "taylor_tensors"),
-                                      (geometry, "indicator_tensor")])
+                                      (geometry, "indicator_tensor"), (geometry, "metric_inverse")])
     parser = cli.build_parser()
     args = parser.parse_args(["invariants", *case])
     t = cli._surface(parser, args, args.n)  # no fact is computed before a check reads it
     code, out = run(capsys, ["invariants", *case])
     assert code == 0
-    # One graph and one Taylor pass; the indicator tensors are Phi_n's pattern only.
-    assert calls["graph_of"] == 1 and calls["taylor_tensors"] == 1
-    if t.source != "cayley":
-        assert calls["indicator_tensor"] == 0
+    # One graph, one Taylor pass and its one inverse metric; no indicator tensor, even on Phi_n.
+    assert calls == {"graph_of": 1, "taylor_tensors": 1, "metric_inverse": 1}
     report = json.loads(out)
     sig = report["signature"]
     assert cli._check_signature(t)[1].startswith(f"signature ({sig['pos']}, {sig['neg']}, {sig['zero']})")

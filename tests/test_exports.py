@@ -83,6 +83,7 @@ LOADED_BY_COMMAND = {
     "symmetries --n 4": PACKAGE - {"geometry"},
     "invariants --n 4": PACKAGE - {"symmetry"},
     "verify --n 4 --checks all": PACKAGE,
+    "verify --n 4 --checks homogeneity": {"cli", "generate", "poly"},
 }
 
 
