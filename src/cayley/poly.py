@@ -76,8 +76,8 @@ def mono_mul(a: Mono, b: Iterable[tuple[int, int]]) -> Mono:
 
 
 def mono_times_var(m: Mono, var: int) -> Mono:
-    """m * x_var, by one scan of the sorted pairs.  It stays beside mono_mul for the solver's row
-    build and apply's inner loop: it took isotropy_at_origin(cayley_poly(20)) from 205 to 123 ms."""
+    """m * x_var, by one scan of the sorted pairs.  Against mono_mul in the solver's row build and apply's
+    inner loop, it took symmetry_algebra(cayley_poly(20)) from ~200 to 160 ms, X_p Phi_20 from ~17 to 13 ms."""
     for k, (v, e) in enumerate(m):
         if v >= var:
             if v == var:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from . import linalg
-from .poly import Mono, Polynomial, Scalar, _Frozen, mono_times_var, variables
+from .poly import Mono, Polynomial, Scalar, _Frozen, mono_degree, mono_times_var, variables
 
 __all__ = [
     "AffineVectorField", "SymmetryAlgebra", "cayley_fields", "commutator", "euler_field", "is_joint_flow",
@@ -293,13 +293,13 @@ class SymmetryAlgebra(_Frozen):
         return len(self.basis)
 
     def isotropy(self) -> SymmetryAlgebra:
-        """The fields with no constant part, in the basis isotropy_at_origin(p) gives for the p solved.
+        """The fields with no constant part, in the nullspace basis of p's system in (c, linear) alone.
 
-        That basis has one vector per free column f of its system in (c, linear): the solution
-        with 1 at f and 0 at the other free columns, whose last nonzero entry is at f.  With the
-        constant part first and (c, linear) reversed, these are the reduced rows that pivot past
-        the constant part; here they are scaled to a leading 1 and ordered by f.  Each is an exact
-        combination of fields whose eigen-relations the solver checked, so none is checked again.
+        tests/oracles.py's linear_isotropy solves that system as the reference.  The basis has one
+        vector per free column f: 1 at f and 0 at the other free columns, so its last nonzero entry
+        is at f.  With the constant part first and (c, linear) reversed, these are the reduced rows
+        that pivot past the constant part, here scaled to a leading 1 and ordered by f.  Each
+        combines fields whose eigen-relations the solver checked, so none is checked again.
         """
         n = self.basis[0].n if self.basis else 0
         top = n + n * n  # the column of c
@@ -311,51 +311,53 @@ class SymmetryAlgebra(_Frozen):
             if pivot >= n:
                 entries = {top - col: v for col, v in {**row, pivot: Fraction(1)}.items()}
                 first = entries[min(entries)]
-                vectors.append([entries.get(k, Fraction(0)) / first for k in range(1 + n * n)])
-        fields = _solution_fields(n, vectors, include_constant=False)
-        return SymmetryAlgebra(tuple(fields), tuple(vec[0] for vec in vectors))
+                vec = [entries.get(k, Fraction(0)) / first for k in range(1 + n * n)]
+                vectors.append([vec[0], *[Fraction(0)] * n, *vec[1:]])  # a zero constant part
+        return SymmetryAlgebra(tuple(_solution_fields(n, vectors)), tuple(vec[0] for vec in vectors))
 
 
-def _solution_fields(n: int, vectors: Sequence[Sequence[Fraction]], include_constant: bool) -> list[AffineVectorField]:
+def _solution_fields(n: int, vectors: Sequence[Sequence[Fraction]]) -> list[AffineVectorField]:
     """The field of each solution vector: after c, the coefficient of d/dx_(j+1) is the stride
-    slice vec[1 + j :: n], read on the monomials 1 (if constants are unknowns), x_1, ..., x_n."""
-    keys = ([()] if include_constant else []) + [((i, 1),) for i in range(1, n + 1)]
+    slice vec[1 + j :: n], read on the monomials 1, x_1, ..., x_n."""
+    keys = [(), *(((i, 1),) for i in range(1, n + 1))]
     return [AffineVectorField([Polynomial._raw(n, {key: v for key, v in zip(keys, vec[1 + j :: n]) if v})
                                for j in range(n)]) for vec in vectors]
 
 
-def _eigen_system(p: Polynomial, include_constant: bool) -> SymmetryAlgebra:
+def symmetry_algebra(p: Polynomial) -> SymmetryAlgebra:
+    """All affine fields X (constant + linear part) with X p = c p, c scalar."""
     if not p:
         raise ValueError("polynomial must be nonzero")
     n = p.n
     diffs = [p.diff(j) for j in range(1, n + 1)]
     # Unknown order: c, then constant part by index, then linear part row-major.
     # Each column is (variable factor, 0 for none; term map): x_i and dp/dx_j for unknown (i, j).
-    columns = [(0, (-p).terms)] + [(0, d.terms) for d in diffs if include_constant]
-    columns += [(i, d.terms) for i in range(1, n + 1) for d in diffs]
-    # One sparse row per monomial, column -> coefficient; the reduced form
-    # does not depend on the row order.
+    columns = [(0, q.terms) for q in (-p, *diffs)] + [(i, d.terms) for i in range(1, n + 1) for d in diffs]
+    # One sparse row per monomial, column -> coefficient; the reduced form does not depend on the row order.
     rows: dict[Mono, dict[int, Fraction]] = {}
     for k, (var, terms) in enumerate(columns):
         for mono, coeff in terms.items():
             rows.setdefault(mono_times_var(mono, var) if var else mono, {})[k] = coeff
     basis_vectors = linalg.nullspace(list(rows.values()), ncols=len(columns))
-    fields = _solution_fields(n, basis_vectors, include_constant)
+    fields = _solution_fields(n, basis_vectors)
     if any(field.apply(p) != p * vec[0] for field, vec in zip(fields, basis_vectors)):
         raise RuntimeError("solver produced a field violating its eigen-relation")
     return SymmetryAlgebra(tuple(fields), tuple(vec[0] for vec in basis_vectors))
 
 
-def symmetry_algebra(p: Polynomial) -> SymmetryAlgebra:
-    """All affine fields X (constant + linear part) with X p = c p, c scalar."""
-    return _eigen_system(p, include_constant=True)
-
-
 def isotropy_at_origin(p: Polynomial) -> SymmetryAlgebra:
-    """Purely linear fields X with X p = c p; requires p(0) = 0, that is, no constant term."""
+    """Purely linear fields X with X p = c p; requires p(0) = 0, that is, no constant term.
+
+    A linear field keeps each term's degree, so p's isotropy lies in that of q, its terms of degree <= 3
+    (p if none).  If q's isotropy basis passes X p = c p, the two spaces and canonical bases are equal.
+    """
     if () in p.terms:
         raise ValueError("origin is not on the hypersurface p = 0")
-    return _eigen_system(p, include_constant=False)
+    q = Polynomial._raw(p.n, {m: c for m, c in p.terms.items() if mono_degree(m) <= 3}) or p
+    iso = symmetry_algebra(q).isotropy()
+    if all(field.apply(p) == p * c for field, c in zip(iso.basis, iso.eigenvalues)):
+        return iso
+    return symmetry_algebra(p).isotropy()
 
 
 def span_contains(algebra: SymmetryAlgebra, fields: Sequence[AffineVectorField]) -> bool:

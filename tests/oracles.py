@@ -21,7 +21,9 @@ more, substitution term by term from a table of powers of the images,
 pulls a polynomial back by a flow, which the library does not compute.
 The orbit check is kept here as the sample it was before it became a proof:
 the surface evaluated literally at seeded orbit points, and round trips
-through the inverse map.
+through the inverse map.  The linear-only symmetry solve is kept as the
+isotropy's reference basis: the library's sparse rows and nullspace on the
+system in (c, linear) alone, which the library now reads off an algebra.
 """
 
 from __future__ import annotations
@@ -211,6 +213,38 @@ def dense_eigen_dimension(p, include_constant: bool = True) -> int:
     for exps in all_exponents(n, degree):
         rows.append([col.get(exps, Fraction(0)) for col in columns])
     return rref_nullity(rows, len(columns))
+
+
+def linear_isotropy(p):
+    """The purely linear fields X with X p = c p, as the nullspace basis of their own system.
+
+    The unknowns are c and the linear part only, in the order c, then the linear part
+    row-major; the system has one sparse row per monomial.  SymmetryAlgebra.isotropy() and
+    isotropy_at_origin must give this basis, field for field and eigenvalue for eigenvalue.
+    """
+    # Imported here: bench/workloads.py loads this module without the package on its path.
+    from cayley import linalg
+    from cayley.poly import Polynomial, mono_times_var
+    from cayley.symmetry import AffineVectorField, SymmetryAlgebra
+
+    if not p:
+        raise ValueError("polynomial must be nonzero")
+    n = p.n
+    diffs = [p.diff(j) for j in range(1, n + 1)]
+    # Each column is (variable factor, 0 for none; term map): x_i and dp/dx_j for unknown (i, j).
+    columns = [(0, (-p).terms)] + [(i, d.terms) for i in range(1, n + 1) for d in diffs]
+    rows = {}
+    for k, (var, terms) in enumerate(columns):
+        for mono, coeff in terms.items():
+            rows.setdefault(mono_times_var(mono, var) if var else mono, {})[k] = coeff
+    basis_vectors = linalg.nullspace(list(rows.values()), ncols=len(columns))
+    # After c, the coefficient of d/dx_(j+1) is the stride slice vec[1 + j :: n] on x_1, ..., x_n.
+    keys = [((i, 1),) for i in range(1, n + 1)]
+    fields = [AffineVectorField([Polynomial._raw(n, {key: v for key, v in zip(keys, vec[1 + j :: n]) if v})
+                                 for j in range(n)]) for vec in basis_vectors]
+    if any(field.apply(p) != p * vec[0] for field, vec in zip(fields, basis_vectors)):
+        raise RuntimeError("solver produced a field violating its eigen-relation")
+    return SymmetryAlgebra(tuple(fields), tuple(vec[0] for vec in basis_vectors))
 
 
 # -- the defining sum over ordered compositions --------------------------------

@@ -312,7 +312,9 @@ CHECK_FACTS = {
     "annihilation": {"cayley_fields": 1, "apply": 6},
     "abelian": {"cayley_fields": 1},
     "homogeneity": {},  # one weighted-degree pass, and no field applied
-    "isotropy": {"apply": 1, "euler_field": 1},  # the apply is the solver's eigen-relation check
+    # 7 applies are the solver's eigen-relation checks in the algebra of Phi_7's terms of degree <= 3,
+    # and 1 is the check that its one isotropy field also has H Phi_7 = 7 Phi_7.
+    "isotropy": {"apply": 7 + 1, "euler_field": 1},
     "traces": {"graph_of": 1, "taylor_tensors": 1, "indicator_tensor": 6, "metric_inverse": 2},
     "pick": {"graph_of": 1, "taylor_tensors": 1, "indicator_tensor": 2, "metric_inverse": 2},
     "signature": {"graph_of": 1, "taylor_tensors": 1},
@@ -438,31 +440,31 @@ def test_invariants_and_verify_read_the_same_facts(capsys, monkeypatch, case):
 
 
 def test_symmetries_builds_and_eliminates_its_system_once(capsys, monkeypatch, tmp_path):
-    solves = []
-    original = symmetry._eigen_system
+    solved = []  # the total degree of each polynomial whose algebra is solved
+    original = symmetry.symmetry_algebra
 
-    def counted(p, include_constant):
-        solves.append(include_constant)
-        return original(p, include_constant)
+    def counted(p):
+        solved.append(p.total_degree())
+        return original(p)
 
-    monkeypatch.setattr(symmetry, "_eigen_system", counted)
+    monkeypatch.setattr(symmetry, "symmetry_algebra", counted)
     path = tmp_path / "graded.json"
     path.write_text(json.dumps(poly_to_json_dict(seeded_polys(2)[0])))
     # The algebra's system alone: the isotropy is read off the algebra.
-    for argv in (["--n", "6"], ["--file", str(path)]):
+    for argv, degree in ((["--n", "6"], 6), (["--file", str(path)], seeded_polys(2)[0].total_degree())):
         code, out = run(capsys, ["symmetries", *argv])
         assert code == 0 and json.loads(out)["isotropy"]["dimension"] > 0
-        assert solves == [True]
-        solves.clear()
+        assert solved == [degree]
+        solved.clear()
     # 1 + x1 - x2 does not vanish at the origin: still one solve, and no isotropy.
     path.write_text(json.dumps(poly_to_json_dict(Polynomial(2, [({}, 1), ({1: 1}, 1), ({2: 1}, -1)]))))
     code, out = run(capsys, ["symmetries", "--file", str(path)])
     assert code == 0 and json.loads(out)["isotropy"] is None
-    assert solves == [True]
-    solves.clear()
-    # verify's isotropy check solves the isotropy's own system, once per target.
+    assert solved == [1]
+    solved.clear()
+    # verify's isotropy check solves the algebra of Phi_n's terms of degree <= 3, once per target.
     assert run(capsys, ["verify", "--n", "3..5", "--checks", "isotropy"])[0] == 0
-    assert solves == [False] * 3
+    assert solved == [3] * 3
 
 
 def test_pick_alone_builds_the_indicator_tensors_of_orders_2_and_3(capsys, monkeypatch):
@@ -744,6 +746,21 @@ def test_symmetries_file_with_a_huge_exponent_finishes(tmp_path):
     assert [_field_from_json(entry) for entry in data["basis"]] == [euler]
     assert [entry["eigenvalue"] for entry in data["basis"]] == ["1"]
     assert data["isotropy"]["dimension"] == 1
+
+
+def test_verify_isotropy_at_n_40_fits_in_a_gibibyte():
+    # The check solves the algebra of Phi_40's terms of degree <= 3 (1641 unknowns, 9030 rows)
+    # and applies its one isotropy field to Phi_40's 37338 terms.  Solving the linear
+    # isotropy's system on Phi_40 itself peaked at about 2.2 GB and took half a minute.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    limit = 1 << 30
+    argv = ["verify", "--n", "40", "--checks", "isotropy", "--force"]
+    proc = subprocess.run([sys.executable, "-m", "cayley.cli", *argv], capture_output=True, env=env, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    [report] = json.loads(proc.stdout)["reports"]
+    assert report["checks"] == [{"name": "isotropy", "status": "pass",
+                                 "detail": "linear isotropy dimension 1 (expected 1, spanned by H)"}]
 
 
 def test_symmetries_file_with_a_constant_term_has_no_isotropy(capsys, tmp_path):

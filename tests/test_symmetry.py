@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cayley import cli
+from cayley import cli, symmetry
 from cayley.generate import cayley_poly, family_poly, variant_surface_4
 from cayley.poly import Polynomial, variables
 from cayley.symmetry import (
@@ -27,6 +27,7 @@ from cayley.symmetry import (
 from oracles import (
     all_exponents,
     dense_eigen_dimension,
+    linear_isotropy,
     literal_apply,
     literal_commutator,
     literal_series_exp,
@@ -511,6 +512,92 @@ def test_isotropy_read_off_the_algebra_is_isotropy_at_origin():
         assert iso == isotropy_at_origin(p)
         dimensions.add((algebra.dimension, iso.dimension))
     assert (0, 0) in dimensions and max(iso for _, iso in dimensions) == 17
+
+
+def deep_polys(seed):
+    """Three random polynomials in 4 variables, without constant term, with terms of degree <= 6.
+
+    The first is graded for random weights in 1..4, at a weight that has terms of degree <= 3
+    and above; the second is up to three of its terms of degree <= 3 plus one term of degree
+    4..6 of another weight, which the terms of degree <= 3 do not see; the third is free.
+    """
+    rng = random.Random(seed)
+    monomials = [e for e in all_exponents(4, 6) if sum(e)]
+    while True:
+        weights = [rng.randint(1, 4) for _ in range(4)]
+        by_weight = {}
+        for e in monomials:
+            by_weight.setdefault(sum(w * x for w, x in zip(weights, e)), []).append(e)
+        mixed = sorted(w for w, es in by_weight.items() if min(map(sum, es)) <= 3 < max(map(sum, es)))
+        if mixed:
+            break
+    graded = by_weight[rng.choice(mixed)]
+    low = [e for e in graded if sum(e) <= 3]
+    high = [e for e in monomials if sum(e) > 3 and e not in graded]
+
+    def poly(exponents):
+        coefficients = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)) for _ in exponents]
+        return Polynomial(4, [(enumerate(e, 1), c) for e, c in zip(exponents, coefficients)])
+
+    return (poly(rng.sample(graded, min(5, len(graded)))),
+            poly(rng.sample(low, min(3, len(low))) + rng.sample(high, 1)),
+            poly(rng.sample(monomials, 5)))
+
+
+# x1^4 - x2: the terms of degree <= 3 are -x2 alone, whose isotropy (dimension 3) is larger than
+# the surface's (dimension 1).  x1^4 - x2^5 has no term of degree <= 3.
+QUARTIC_MINUS_X2 = Polynomial(2, [({1: 4}, 1), ({2: 1}, -1)])
+QUARTIC_MINUS_X2_5 = Polynomial(2, [({1: 4}, 1), ({2: 5}, -1)])
+DEEP_POLYS = [p for seed in range(20) for p in deep_polys(seed)] + [QUARTIC_MINUS_X2, QUARTIC_MINUS_X2_5]
+FAMILY_MEMBERS = [family_poly(n, Fraction(b)) for n in (5, 8, 11) for b in ("1/2", "-7/3", "3", "5/3")]
+
+
+def test_both_isotropy_routes_give_the_linear_only_basis():
+    # Basis for basis, eigenvalue for eigenvalue, against the solve of the isotropy's own system.
+    polys = [cayley_poly(n) for n in range(2, 17)] + FAMILY_MEMBERS + [variant_surface_4()] + DEEP_POLYS
+    for p in polys:
+        reference = linear_isotropy(p)
+        assert isotropy_at_origin(p) == reference
+        assert symmetry_algebra(p).isotropy() == reference
+
+
+def test_isotropy_dimension_matches_dense_oracle_on_terms_up_to_degree_6():
+    dimensions = set()
+    for p in [variant_surface_4(), family_poly(5, Fraction(1, 2))] + DEEP_POLYS:
+        dimension = isotropy_at_origin(p).dimension
+        assert dimension == dense_eigen_dimension(p, include_constant=False)
+        dimensions.add(dimension)
+    assert {0, 1, 2} <= dimensions and max(dimensions) >= 5
+
+
+def test_isotropy_at_origin_solves_the_terms_of_degree_3_alone_on_every_built_surface(monkeypatch):
+    solved = []
+    original = symmetry.symmetry_algebra
+
+    def counted(p):
+        solved.append(p)
+        return original(p)
+
+    monkeypatch.setattr(symmetry, "symmetry_algebra", counted)
+    surfaces = [cayley_poly(n) for n in range(3, 21)] + [variant_surface_4()]
+    surfaces += [family_poly(n, Fraction(b)) for n in range(4, 13) for b in ("1/2", "-7/3", "3", "5/3")]
+    for p in surfaces:
+        isotropy_at_origin(p)
+        assert len(solved) == 1 and solved[0].total_degree() <= 3
+        solved.clear()
+    # The certificate fails on x1^4 - x2, so the surface's own algebra is solved too.
+    assert isotropy_at_origin(QUARTIC_MINUS_X2).dimension == 1
+    assert solved == [-Polynomial.variable(2, 2), QUARTIC_MINUS_X2]
+    solved.clear()
+    assert isotropy_at_origin(QUARTIC_MINUS_X2_5).dimension == 1
+    assert solved == [QUARTIC_MINUS_X2_5]
+    # Some seeded polynomials take each route.
+    routes = set()
+    for p in DEEP_POLYS:
+        solved.clear()
+        isotropy_at_origin(p)
+        routes.add(len(solved))
+    assert routes == {1, 2}
 
 
 def test_isotropy_requires_origin_on_surface():
